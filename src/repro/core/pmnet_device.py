@@ -124,7 +124,7 @@ class PMNetDevice(Node):
             if action is MATAction.LOG_AND_FORWARD:
                 # ingress -> PM-access: `_log_update` performs all side
                 # effects itself; the intermediate hop only dispatched.
-                self.folded_stages.increment()
+                self.folded_stages.value += 1
                 self.sim.schedule_deferred(
                     self.config.pipeline.ingress_ns,
                     self.config.pipeline.pm_stage_ns,
@@ -138,7 +138,7 @@ class PMNetDevice(Node):
                 # delivery event.  A crash inside the window is safe:
                 # `fail()` revokes the reservation and `_unfold_forward`
                 # re-runs the unfolded fire-time check at its slot.
-                self.folded_stages.increment()
+                self.folded_stages.value += 1
                 pipeline_ns = (self.config.pipeline.ingress_ns
                                + self.config.pipeline.egress_ns)
                 channel = self.table.lookup(frame.dst).channel
@@ -189,12 +189,12 @@ class PMNetDevice(Node):
 
     def _express_ingest(self, frame: Frame, packet: PMNetPacket) -> None:
         """Barrier of an extended update chain: the ``_log_update``
-        instant, with the ``receive``-time bookkeeping the chain
+        instant, with the delivery-time bookkeeping the chain
         subsumed."""
         if self.failed:
             return
         frame.hops += 1
-        self.folded_stages.increment()
+        self.folded_stages.value += 1
         self._log_update(frame, packet)
 
     def _express_server_ack(self, frame: Frame, packet: PMNetPacket) -> None:
@@ -203,7 +203,7 @@ class PMNetDevice(Node):
         if self.failed:
             return
         frame.hops += 1
-        self.folded_stages.increment()
+        self.folded_stages.value += 1
         self._handle_server_ack(frame, packet)
 
     def _after_ingress(self, frame: Frame) -> None:
@@ -259,9 +259,10 @@ class PMNetDevice(Node):
                     self.cache.on_update_bypassed(op.key)
             elif op.is_update and op.key is not None and not logged:
                 self.cache.on_update_bypassed(op.key)
-        self.tracer.emit(self.sim.now, self.name,
-                         "update_logged" if logged else "update_bypassed",
-                         req=packet.request_id, seq=packet.seq_num)
+        if self.tracer.enabled:
+            self.tracer.emit(self.sim.now, self.name,
+                             "update_logged" if logged else "update_bypassed",
+                             req=packet.request_id, seq=packet.seq_num)
         # Forward to the server regardless of the logging outcome
         # (Sec IV-B1: full log or collision means forward-without-ack).
         self._egress(frame, payload_cost=True)
@@ -276,9 +277,10 @@ class PMNetDevice(Node):
         if self._spans is not None:
             self._spans.record(packet.request_id, spans.PMNET_ACK,
                                self.sim.now)
-        self.acks_sent.increment()
-        self.tracer.emit(self.sim.now, self.name, "pmnet_ack",
-                         req=packet.request_id, seq=packet.seq_num)
+        self.acks_sent.value += 1
+        if self.tracer.enabled:
+            self.tracer.emit(self.sim.now, self.name, "pmnet_ack",
+                             req=packet.request_id, seq=packet.seq_num)
         self._delayed_transmit(self.config.pipeline.ack_generation_ns,
                                ack, packet.client)
 
@@ -318,8 +320,9 @@ class PMNetDevice(Node):
             if (self.cache is not None and op is not None
                     and packet.frag_count == 1 and op.is_cacheable_set):
                 self.cache.on_update_logged(op.key, op.value)
-            self.tracer.emit(self.sim.now, self.name, "update_logged",
-                             req=packet.request_id, seq=packet.seq_num)
+            if self.tracer.enabled:
+                self.tracer.emit(self.sim.now, self.name, "update_logged",
+                                 req=packet.request_id, seq=packet.seq_num)
             return
         # Log full / queue saturated: this member cannot hold a copy.
         # Pass the write along with the chain marked broken — the tail
@@ -352,9 +355,10 @@ class PMNetDevice(Node):
         cost = (self.config.pipeline.egress_ns
                 + round(packet.wire_bytes * self.config.pipeline.per_byte_ns))
         if index + 1 < len(chain):
-            self.tracer.emit(self.sim.now, self.name, "chain_forward",
-                             req=packet.request_id, seq=packet.seq_num,
-                             to=chain[index + 1])
+            if self.tracer.enabled:
+                self.tracer.emit(self.sim.now, self.name, "chain_forward",
+                                 req=packet.request_id, seq=packet.seq_num,
+                                 to=chain[index + 1])
             self._delayed_transmit(cost, packet, chain[index + 1])
             return
         # Tail: every member upstream holds a durable copy unless one
@@ -366,9 +370,10 @@ class PMNetDevice(Node):
             if self._spans is not None:
                 self._spans.record(packet.request_id, spans.PMNET_ACK,
                                    self.sim.now)
-            self.acks_sent.increment()
-            self.tracer.emit(self.sim.now, self.name, "pmnet_ack",
-                             req=packet.request_id, seq=packet.seq_num)
+            self.acks_sent.value += 1
+            if self.tracer.enabled:
+                self.tracer.emit(self.sim.now, self.name, "pmnet_ack",
+                                 req=packet.request_id, seq=packet.seq_num)
             self._delayed_transmit(self.config.pipeline.ack_generation_ns,
                                    ack, packet.client)
         self._delayed_transmit(cost, packet, packet.server)
@@ -384,9 +389,10 @@ class PMNetDevice(Node):
         index = packet.chain.index(self.name)
         if index == 0:
             return
-        self.tracer.emit(self.sim.now, self.name, "chain_invalidate",
-                         req=packet.request_id, seq=packet.seq_num,
-                         to=packet.chain[index - 1])
+        if self.tracer.enabled:
+            self.tracer.emit(self.sim.now, self.name, "chain_invalidate",
+                             req=packet.request_id, seq=packet.seq_num,
+                             to=packet.chain[index - 1])
         self._delayed_transmit(self.config.pipeline.egress_ns,
                                packet, packet.chain[index - 1])
 
@@ -440,8 +446,9 @@ class PMNetDevice(Node):
             self.log.invalidate(packet.hash_val)
             if self.cache is not None and op is not None and op.key is not None:
                 self.cache.on_server_ack(op.key)  # T2/T6
-            self.tracer.emit(self.sim.now, self.name, "log_invalidated",
-                             req=packet.request_id, seq=packet.seq_num)
+            if self.tracer.enabled:
+                self.tracer.emit(self.sim.now, self.name, "log_invalidated",
+                                 req=packet.request_id, seq=packet.seq_num)
         self.resend_engine.on_server_ack(packet.hash_val)
         if packet.chain and self.name in packet.chain:
             self._propagate_chain_invalidate(packet)
@@ -561,7 +568,7 @@ class PMNetDevice(Node):
             channel = self.table.lookup(frame.dst).channel
             if channel is not None and channel.send_in(cost, frame,
                                                        self._unfold_forward):
-                self.folded_stages.increment()
+                self.folded_stages.value += 1
                 return
         self.sim.schedule(cost, self._forward_frame, frame)
 
@@ -590,7 +597,7 @@ class PMNetDevice(Node):
             channel = self.table.lookup(destination).channel
             if channel is not None and channel.send_in(cost, frame,
                                                        self._unfold_forward):
-                self.folded_stages.increment()
+                self.folded_stages.value += 1
                 return
         self.sim.schedule(cost, self._transmit_packet, packet, destination)
 

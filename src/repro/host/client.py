@@ -190,11 +190,12 @@ class PMNetClient:
         if self._spans is not None:
             self._spans.record(packets[0].request_id, spans.CLIENT_SEND,
                                self.sim.now)
-        self.tracer.emit(self.sim.now, self.host.name, "request_sent",
-                         req=packets[0].request_id,
-                         session=packets[0].session_id,
-                         seq=packets[0].seq_num, update=is_update,
-                         fragments=len(packets))
+        if self.tracer.enabled:
+            self.tracer.emit(self.sim.now, self.host.name, "request_sent",
+                             req=packets[0].request_id,
+                             session=packets[0].session_id,
+                             seq=packets[0].seq_num, update=is_update,
+                             fragments=len(packets))
         for index, packet in enumerate(packets):
             # Updates and reads draw from separate SeqNum streams
             # (session.py), so the stream is part of the key.
@@ -296,10 +297,11 @@ class PMNetClient:
         if self._spans is not None:
             self._spans.record(first.request_id, spans.CLIENT_COMPLETE,
                                self.sim.now)
-        self.tracer.emit(self.sim.now, self.host.name, "completed",
-                         req=first.request_id, session=first.session_id,
-                         seq=first.seq_num, via=via,
-                         update=state.is_update, ok=result.ok)
+        if self.tracer.enabled:
+            self.tracer.emit(self.sim.now, self.host.name, "completed",
+                             req=first.request_id, session=first.session_id,
+                             seq=first.seq_num, via=via,
+                             update=state.is_update, ok=result.ok)
         # The application wakeup (epoll + scheduler) is charged here.
         # The draw goes through the host so an outstanding express-claim
         # pre-draw is revoked before the jitter stream advances.

@@ -137,7 +137,7 @@ class HostNode(Node):
     def _deliver(self, frame: Frame, epoch: int) -> None:
         if self.failed or epoch != self.epoch:
             return  # the packet died in the stack when the host crashed
-        self.frames_received.increment()
+        self.frames_received.value += 1
         if self.endpoint is not None:
             self.endpoint.on_frame(frame)
 
@@ -169,8 +169,8 @@ class HostNode(Node):
             self._claim = None
         if self.failed or claim.epoch != self.epoch:
             return
-        frame.hops += 1  # the Node.receive bookkeeping the chain subsumed
-        self.frames_received.increment()
+        frame.hops += 1  # the Channel._deliver bookkeeping the chain subsumed
+        self.frames_received.value += 1
         if self.endpoint is not None:
             self.endpoint.on_frame(frame)
 
@@ -212,7 +212,7 @@ class HostNode(Node):
             channel = self.ports[0].channel
             if channel is not None and channel.send_in(cost, frame,
                                                        self._unfold_outbound):
-                self.frames_sent.increment()
+                self.frames_sent.value += 1
                 return
         epoch = self.epoch
         self.sim.schedule(cost, self._transmit, frame, epoch)
@@ -229,7 +229,7 @@ class HostNode(Node):
     def _transmit(self, frame: Frame, epoch: int) -> None:
         if self.failed or epoch != self.epoch:
             return
-        self.frames_sent.increment()
+        self.frames_sent.value += 1
         self.nic_port.transmit(frame)
 
     # ------------------------------------------------------------------

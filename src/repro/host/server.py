@@ -279,10 +279,11 @@ class PMNetServer:
         if self._spans is not None:
             self._spans.record(first.request_id, spans.SERVER_HANDLER,
                                self.sim.now)
-        self.tracer.emit(self.sim.now, self.host.name, "processed",
-                         req=first.request_id, session=sid,
-                         seq=first.seq_num,
-                         update=is_update(first.packet_type))
+        if self.tracer.enabled:
+            self.tracer.emit(self.sim.now, self.host.name, "processed",
+                             req=first.request_id, session=sid,
+                             seq=first.seq_num,
+                             update=is_update(first.packet_type))
         return outcome
 
     def _execute(self, op: object, session_id: int) -> HandlerOutcome:
@@ -323,9 +324,10 @@ class PMNetServer:
         if self._spans is not None:
             self._spans.record(packet.request_id, spans.SERVER_ACK,
                                self.sim.now)
-        self.tracer.emit(self.sim.now, self.host.name, "server_ack",
-                         req=packet.request_id, session=packet.session_id,
-                         seq=packet.seq_num)
+        if self.tracer.enabled:
+            self.tracer.emit(self.sim.now, self.host.name, "server_ack",
+                             req=packet.request_id, session=packet.session_id,
+                             seq=packet.seq_num)
         ack = packet.make_ack(PacketType.SERVER_ACK,
                               origin_device=self.host.name)
         self.host.send_frame(packet.client, ack, ack.wire_bytes,

@@ -9,6 +9,7 @@ the paper's Fig 20 CDFs measure.
 
 from __future__ import annotations
 
+from math import exp
 from typing import TYPE_CHECKING
 
 from repro.config import TCP_EXTRA_PER_SIDE_NS, StackProfile
@@ -33,8 +34,17 @@ class HostStack:
         self.name = name
         self.profile = profile
         self.transport = transport
-        self._jitter = LatencyJitter(sim.random.stream(f"stack:{name}"),
-                                     profile.jitter_sigma)
+        self._jitter = jitter = LatencyJitter(
+            sim.random.stream(f"stack:{name}"), profile.jitter_sigma)
+        # ``send_cost``/``recv_cost`` run once per packet crossing, so
+        # they repeat ``LatencyJitter.sample`` inline: the same bound
+        # ``normalvariate`` and ``exp`` that ``lognormvariate`` calls,
+        # so the stream and every value are identical, two frames
+        # cheaper.
+        self._normal = jitter.normalvariate
+        self._mu = jitter.mu
+        self._sigma = jitter.sigma
+        self._tcp_ns = TCP_EXTRA_PER_SIDE_NS if transport == TCP else 0
         self._hiccup_rng = sim.random.stream(f"hiccup:{name}")
 
     # ------------------------------------------------------------------
@@ -56,22 +66,25 @@ class HostStack:
         self._jitter.setstate(state)
 
     # ------------------------------------------------------------------
-    def _tcp_extra(self) -> int:
-        return TCP_EXTRA_PER_SIDE_NS if self.transport == TCP else 0
-
     def send_cost(self, payload_bytes: int) -> int:
         """Cost of pushing one packet down the stack onto the NIC."""
         base = (self.profile.send_ns
                 + round(payload_bytes * self.profile.copy_ns_per_byte)
-                + self._tcp_extra())
-        return self._jitter.sample(base)
+                + self._tcp_ns)
+        if base <= 0 or self._sigma == 0.0:
+            return max(base, 0)
+        return max(base // 2,
+                   round(base * exp(self._normal(self._mu, self._sigma))))
 
     def recv_cost(self, payload_bytes: int) -> int:
         """Cost of raising one packet from the NIC into the stack."""
         base = (self.profile.recv_ns
                 + round(payload_bytes * self.profile.copy_ns_per_byte)
-                + self._tcp_extra())
-        return self._jitter.sample(base)
+                + self._tcp_ns)
+        if base <= 0 or self._sigma == 0.0:
+            return max(base, 0)
+        return max(base // 2,
+                   round(base * exp(self._normal(self._mu, self._sigma))))
 
     def dispatch_cost(self) -> int:
         """Cost of waking the application thread for one request.

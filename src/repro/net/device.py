@@ -72,15 +72,13 @@ class Node:
         self.ports.append(port)
         return port
 
-    def receive(self, frame: Frame, in_port: Port) -> None:
-        """Called by a channel when a frame arrives at ``in_port``."""
-        if self.failed:
-            return  # a dead device is a black hole
-        frame.hops += 1
-        self.handle_frame(frame, in_port)
-
     def handle_frame(self, frame: Frame, in_port: Port) -> None:
-        """Process one arriving frame; subclasses must implement."""
+        """Process one arriving frame; subclasses must implement.
+
+        :meth:`Channel._deliver <repro.net.link.Channel._deliver>` calls
+        this for every frame that reaches ``in_port`` while the node is
+        up (a failed node is a black hole), after counting the hop.
+        """
         raise NotImplementedError
 
     def arrival_extension(self, frame: Frame):
@@ -91,7 +89,7 @@ class Node:
         wire chain is extended by ``extra_hops`` and ends in
         ``callback(*args)`` — a barrier that must re-check the node's
         liveness exactly as the stage-folded interior callbacks would —
-        instead of the usual :meth:`~Node.receive` delivery.  ``claim``
+        instead of the usual ``Channel._deliver`` delivery.  ``claim``
         (or ``None``) is released on every in-place revocation so any
         RNG state the node pre-drew rewinds.  The base node never
         extends.

@@ -66,12 +66,12 @@ unfolded) shape via :meth:`strip_extension`.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Deque, Optional
 
 from repro.config import folding_enabled
 from repro.errors import SimulationError
-from repro.net.device import Port
+from repro.net.device import Node, Port
 from repro.net.packet import PMNET_UDP_PORT_MAX, PMNET_UDP_PORT_MIN, Frame
 from repro.protocol.packet import PMNetPacket
 from repro.sim.clock import transmission_delay
@@ -85,8 +85,19 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass(slots=True)
 class Impairments:
-    """Probabilistic misbehaviour of a directed channel."""
+    """Probabilistic misbehaviour of a directed channel.
 
+    ``enabled`` is derived, not set: every field write (construction
+    and later mutation alike) refreshes it, so the per-send fold gate is
+    one attribute read yet still sees a loss window opened by mutating
+    a live instance.
+    """
+
+    #: Whether any probability is positive (kept current by
+    #: :meth:`__setattr__`; declared first so construction writes it
+    #: before the probabilities that decide it).
+    enabled: bool = field(default=False, init=False, repr=False,
+                          compare=False)
     loss_probability: float = 0.0
     duplicate_probability: float = 0.0
     reorder_probability: float = 0.0
@@ -94,10 +105,15 @@ class Impairments:
     #: successors.
     reorder_extra_ns: int = 5_000
 
-    def any_enabled(self) -> bool:
-        return (self.loss_probability > 0.0
-                or self.duplicate_probability > 0.0
-                or self.reorder_probability > 0.0)
+    def __setattr__(self, name: str, value) -> None:
+        object.__setattr__(self, name, value)
+        try:
+            enabled = (self.loss_probability > 0.0
+                       or self.duplicate_probability > 0.0
+                       or self.reorder_probability > 0.0)
+        except AttributeError:
+            return  # mid-construction: a probability is not set yet
+        object.__setattr__(self, "enabled", enabled)
 
 
 #: Frame-kind key for non-PMNet traffic in the arrival-plan cache.
@@ -194,6 +210,15 @@ class Channel:
         self._fold = (folding_enabled()
                       and profile.queue_capacity_packets > 0
                       and profile.propagation_ns > 0)
+        #: Whether the sink node can ever extend an inbound chain: a
+        #: node class that keeps the base ``arrival_extension`` (a plain
+        #: switch) never does, so the send paths skip asking it.
+        self._sink_extends = (type(sink.node).arrival_extension
+                              is not Node.arrival_extension)
+        #: ``payload_bytes -> (wire bytes, serialization ns)``: the
+        #: profile is fixed for the channel's life and frames come in a
+        #: handful of sizes, so each size is costed once.
+        self._costs: dict = {}
         self.delivered = Counter(f"{name}.delivered")
         self.dropped_full = Counter(f"{name}.dropped_full")
         self.dropped_full_bytes = Counter(f"{name}.dropped_full_bytes")
@@ -204,6 +229,15 @@ class Channel:
         register_with_sim(sim, self)
 
     # ------------------------------------------------------------------
+    def _cost_of(self, payload_bytes: int):
+        """``(wire bytes, serialization ns)`` of a payload size, memoised
+        in :attr:`_costs`."""
+        wire_bytes = payload_bytes + self.profile.header_overhead_bytes
+        cost = (wire_bytes,
+                transmission_delay(wire_bytes, self.profile.bandwidth_bps))
+        self._costs[payload_bytes] = cost
+        return cost
+
     def _sink_extension(self, frame: Frame):
         """The receiving node's arrival extension for ``frame``, served
         from the per-(node, frame-kind) plan cache when the node allows.
@@ -220,6 +254,11 @@ class Channel:
         or unexpected args — is passed through uncached.  Plans are
         dropped by ``Node.invalidate_arrival_plans`` on failure,
         recovery, impairment change, and device replacement.
+
+        The send paths call this only when :attr:`_sink_extends` is set,
+        i.e. when the sink node's *class* overrides
+        ``Node.arrival_extension``; a hook attached to one instance of a
+        class that keeps the base method is never consulted.
         """
         node = self.sink.node
         plans = node._arrival_plans
@@ -255,9 +294,10 @@ class Channel:
             self.revoke_unstarted()
         serializing = self._serializing
         if serializing is not None:
-            ext = (self._serializing_res.hops - 2
-                   if self._serializing_res is not None else 0)
-            if _remaining_hops(serializing) <= ext:
+            res = self._serializing_res
+            defer = serializing.defer_ns  # _remaining_hops, inlined
+            if ((len(defer) if type(defer) is tuple else 1 if defer else 0)
+                    <= (res.hops - 2 if res is not None else 0)):
                 # The folded record has been re-sequenced past its
                 # serialize-end slot (only arrival-extension hops, if
                 # any, remain): the instant the unfolded ``_serialized``
@@ -275,7 +315,7 @@ class Channel:
         if (self._fold and not self._transmitting and not self._queue
                 and serializing is None
                 and self.sim.now >= self._busy_until
-                and not self.impairments.any_enabled()):
+                and not self.impairments.enabled):
             # Fast path: idle transmitter, empty queue, no impairments —
             # serialization + propagation fold into one delivery event.
             # The receiving node may extend the chain through its own
@@ -284,15 +324,15 @@ class Channel:
             # goes straight into the :attr:`_serializing` slot (with a
             # reservation alongside when extended, so hop accounting and
             # claim release keep working on conversion).
-            wire_bytes = frame.wire_size(self.profile.header_overhead_bytes)
-            serialize = transmission_delay(wire_bytes,
-                                           self.profile.bandwidth_bps)
-            self.bytes_sent.increment(wire_bytes)
-            self.folded_sends.increment()
+            wire_bytes, serialize = (self._costs.get(frame.payload_bytes)
+                                     or self._cost_of(frame.payload_bytes))
+            self.bytes_sent.value += wire_bytes
+            self.folded_sends.value += 1
             now = self.sim.now
             hops = (self.profile.propagation_ns,)
             callback, args, claim = self._deliver, (frame,), None
-            extension = self._sink_extension(frame)
+            extension = (self._sink_extension(frame) if self._sink_extends
+                         else None)
             if extension is not None:
                 extra_hops, ext_callback, ext_args, claim = extension
                 hops = hops + tuple(extra_hops)
@@ -319,8 +359,13 @@ class Channel:
             self.dropped_full_bytes.increment(
                 frame.wire_size(self.profile.header_overhead_bytes))
             return
-        self._queue.append(frame)
-        self.queue_depth_highwater.update(len(self._queue))
+        queue = self._queue
+        queue.append(frame)
+        depth = len(queue)
+        gauge = self.queue_depth_highwater  # Gauge.update, inlined
+        gauge.value = depth
+        if depth > gauge.highwater:
+            gauge.highwater = depth
         if not self._transmitting:
             if serializing is not None:
                 # A *folded* frame still owns the transmitter (either
@@ -372,19 +417,21 @@ class Channel:
         bare re-:meth:`send` — correct only for senders that can never
         fail mid-run (bare channels in tests).
         """
-        if not (self._fold and not self._transmitting and not self._queue
-                and self.sim.now + pre_delay_ns >= self._busy_until
-                and not self.impairments.any_enabled()):
-            return False
-        self._pop_started()
-        wire_bytes = frame.wire_size(self.profile.header_overhead_bytes)
-        serialize = transmission_delay(wire_bytes, self.profile.bandwidth_bps)
-        self.bytes_sent.increment(wire_bytes)
-        self.folded_sends.increment()
         start = self.sim.now + pre_delay_ns
+        if not (self._fold and not self._transmitting and not self._queue
+                and start >= self._busy_until
+                and not self.impairments.enabled):
+            return False
+        if self._reservations:
+            self._pop_started()
+        wire_bytes, serialize = (self._costs.get(frame.payload_bytes)
+                                 or self._cost_of(frame.payload_bytes))
+        self.bytes_sent.value += wire_bytes
+        self.folded_sends.value += 1
         hops = (serialize, self.profile.propagation_ns)
         callback, args, claim = self._deliver, (frame,), None
-        extension = self._sink_extension(frame)
+        extension = (self._sink_extension(frame) if self._sink_extends
+                     else None)
         if extension is not None:
             # Whole-request folding: the receiving node extends the
             # chain through its own deterministic pipeline head, ending
@@ -405,7 +452,7 @@ class Channel:
         """Barrier slot of an extension-carrying chain: count the wire
         delivery (the chain subsumed the ``_deliver`` hop) and run the
         receiving node's barrier callback."""
-        self.delivered.increment()
+        self.delivered.value += 1
         callback(*args)
 
     def _pop_started(self) -> None:
@@ -419,10 +466,15 @@ class Channel:
         may convert.
         """
         res = self._reservations
-        while res and _remaining_hops(res[0].call) < res[0].hops:
-            started = res.popleft()
-            self._serializing = started.call
-            self._serializing_res = started
+        while res:
+            head = res[0]
+            defer = head.call.defer_ns  # _remaining_hops, inlined
+            if ((len(defer) if type(defer) is tuple else 1 if defer else 0)
+                    >= head.hops):
+                break
+            res.popleft()
+            self._serializing = head.call
+            self._serializing_res = head
 
     def revoke_unstarted(self) -> None:
         """Fall every not-yet-started reservation back to the unfolded
@@ -566,11 +618,13 @@ class Channel:
     def _transmit_next(self) -> None:
         if not self._queue:
             return
-        frame = self._queue.popleft()
-        self.queue_depth_highwater.update(len(self._queue))
-        wire_bytes = frame.wire_size(self.profile.header_overhead_bytes)
-        serialize = transmission_delay(wire_bytes, self.profile.bandwidth_bps)
-        self.bytes_sent.increment(wire_bytes)
+        queue = self._queue
+        frame = queue.popleft()
+        # A falling level never moves the high-water mark.
+        self.queue_depth_highwater.value = len(queue)
+        wire_bytes, serialize = (self._costs.get(frame.payload_bytes)
+                                 or self._cost_of(frame.payload_bytes))
+        self.bytes_sent.value += wire_bytes
         self._busy_until = self.sim.now + serialize
         self._transmitting = True
         # The transmitter is busy for the serialization time, then the
@@ -583,7 +637,7 @@ class Channel:
         self._transmit_next()
 
     def _launch(self, frame: Frame) -> None:
-        if not self.impairments.any_enabled():
+        if not self.impairments.enabled:
             # Even an *unfolded* transmission (queued behind contention)
             # can extend its delivery through the receiving node: the
             # record's push seq lands at this serialize-end instant and
@@ -594,7 +648,8 @@ class Channel:
             # tracks it), and claims stay revocable through the host
             # hooks.  Impaired copies never extend, mirroring the fold
             # gate.
-            extension = self._sink_extension(frame)
+            extension = (self._sink_extension(frame) if self._sink_extends
+                         else None)
             if extension is not None:
                 extra_hops, ext_callback, ext_args, claim = extension
                 call = self.sim.schedule_deferred(
@@ -635,8 +690,13 @@ class Channel:
         self.sim.schedule(delay, self._deliver, frame)
 
     def _deliver(self, frame: Frame) -> None:
-        self.delivered.increment()
-        self.sink.node.receive(frame, self.sink)
+        self.delivered.value += 1
+        sink = self.sink
+        node = sink.node
+        if node.failed:
+            return  # a dead device is a black hole
+        frame.hops += 1
+        node.handle_frame(frame, sink)
 
     @property
     def queue_depth(self) -> int:

@@ -91,7 +91,7 @@ class Switch(Node):
         if channel is not None:
             if channel.send_in(self.profile.switch_forward_ns, frame,
                                self._unfold_forward):
-                self.forwarded.increment()
+                self.forwarded.value += 1
                 return
         self.sim.schedule(self.profile.switch_forward_ns,
                           self._forward, frame)
@@ -106,5 +106,5 @@ class Switch(Node):
     def _forward(self, frame: Frame) -> None:
         if self.failed:
             return
-        self.forwarded.increment()
+        self.forwarded.value += 1
         self.table.lookup(frame.dst).transmit(frame)

@@ -12,7 +12,7 @@ entry without recomputing anything.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import HeaderError
 from repro.protocol.crc import crc32
@@ -20,6 +20,8 @@ from repro.protocol.types import PacketType
 
 #: struct layout: Type u8 | SessionID u16 | SeqNum u32 | HashVal u32.
 _LAYOUT = struct.Struct(">BHII")
+
+_new = object.__new__
 
 #: Wire size of the PMNet header in bytes.
 HEADER_BYTES = _LAYOUT.size
@@ -72,8 +74,18 @@ class PMNetHeader:
         return crc32(unsealed[:7])
 
     def sealed(self) -> "PMNetHeader":
-        """A copy with HashVal filled in by the sender's stack."""
-        return replace(self, hash_val=self.compute_hash())
+        """A copy with HashVal filled in by the sender's stack.
+
+        Built by copying the instance dict rather than through
+        ``dataclasses.replace`` (which re-walks the field list and
+        re-runs the range checks): the fields were validated when
+        ``self`` was built, and one header is derived per packet.
+        """
+        header = _new(PMNetHeader)
+        fields = header.__dict__
+        fields.update(self.__dict__)
+        fields["hash_val"] = self.compute_hash()
+        return header
 
     def verify_hash(self) -> bool:
         """Whether the carried HashVal matches a recomputation.
@@ -91,7 +103,11 @@ class PMNetHeader:
         the request's header with only the Type changed, so it still
         carries the HashVal that indexes the log entry.
         """
-        return replace(self, packet_type=packet_type)
+        header = _new(PMNetHeader)  # a dict copy, as in :meth:`sealed`
+        fields = header.__dict__
+        fields.update(self.__dict__)
+        fields["packet_type"] = packet_type
+        return header
 
 
 def make_request_header(packet_type: PacketType, session_id: int,

@@ -65,6 +65,15 @@ class PMNetPacket:
     #: write queue saturated).  The tail then withholds its PMNET_ACK so
     #: a tail ACK always means *every* member holds a durable copy.
     chain_broken: bool = False
+    #: The header's fields, copied into slots at construction: every
+    #: device, switch and host reads them per packet.  The header is
+    #: immutable and never reassigned, so the copies cannot go stale.
+    packet_type: PacketType = field(init=False, repr=False, compare=False)
+    session_id: int = field(init=False, repr=False, compare=False)
+    seq_num: int = field(init=False, repr=False, compare=False)
+    hash_val: int = field(init=False, repr=False, compare=False)
+    #: Application-layer size: PMNet header plus payload.
+    wire_bytes: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.payload_bytes < 0:
@@ -72,27 +81,12 @@ class PMNetPacket:
         if not 0 <= self.frag_index < self.frag_count:
             raise ValueError(
                 f"fragment {self.frag_index}/{self.frag_count} out of range")
-
-    @property
-    def wire_bytes(self) -> int:
-        """Application-layer size: PMNet header plus payload."""
-        return HEADER_BYTES + self.payload_bytes
-
-    @property
-    def packet_type(self) -> PacketType:
-        return self.header.packet_type
-
-    @property
-    def hash_val(self) -> int:
-        return self.header.hash_val
-
-    @property
-    def session_id(self) -> int:
-        return self.header.session_id
-
-    @property
-    def seq_num(self) -> int:
-        return self.header.seq_num
+        header = self.header
+        self.packet_type = header.packet_type
+        self.session_id = header.session_id
+        self.seq_num = header.seq_num
+        self.hash_val = header.hash_val
+        self.wire_bytes = HEADER_BYTES + self.payload_bytes
 
     # ------------------------------------------------------------------
     # Derived packets

@@ -25,7 +25,7 @@ What generation buys over the hand-written tiered loop
 * **The ``until`` check is hoisted to instant boundaries.**  Within one
   drain instant the queue clock cannot move, so the bound is checked
   when the instant is entered, not per event.  (The live-count guard on
-  the ``self._now = until`` pin is preserved exactly — see
+  the ``self.now = until`` pin is preserved exactly — see
   ``Simulator._run_tiered`` for why it exists.)
 * **Tier cursors and lengths live in locals.**  The claimed bucket is
   append-frozen (same-instant pushes join the lane), so its length is
@@ -61,11 +61,10 @@ from __future__ import annotations
 import heapq
 from typing import Optional
 
-from repro.sim.event import (QUEUE_BACKENDS, ScheduledCall,
-                             TieredEventQueue)
+from repro.sim.event import QUEUE_BACKENDS, TieredEventQueue
 
 __all__ = ["CompiledEventQueue", "make_event_queue", "run_loop",
-           "bind_scheduling", "generated_variants"]
+           "generated_variants"]
 
 
 class CompiledEventQueue(TieredEventQueue):
@@ -73,8 +72,10 @@ class CompiledEventQueue(TieredEventQueue):
 
     The structural contract (lane / calendar / far tier, cursors,
     counters) is inherited unchanged — specialization lives entirely in
-    the generated ``run_loop`` and push closures, which hoist these
-    structures as locals exactly like ``Simulator._run_tiered`` does.
+    the generated ``run_loop``, which hoists these structures as locals
+    exactly like ``Simulator._run_tiered`` does.  Pushes go through the
+    same ``schedule``/``call_soon``/``schedule_deferred`` closures as
+    the tiered backend (``Simulator._bind_fast_scheduling``).
     """
 
     backend = "compiled"
@@ -107,14 +108,14 @@ _ENTRY_UNTIL = """\
         # went further).  Everything pending is at or beyond qnow, so
         # pin and stop exactly as the per-branch checks would.
         if q._size > 0:
-            sim._now = until
+            sim.now = until
         return
 """
 
 _ADV_UNTIL = """\
                 if time > until:
                     if q._size - executed > 0:
-                        sim._now = until
+                        sim.now = until
                     break
 """
 
@@ -251,7 +252,7 @@ def _drain(sim, q, until, budget, profiler,
                 reseqs += 1
                 continue
             call.owner = None
-            sim._now = qnow
+            sim.now = qnow
             executed += 1
 {profile}\
             call.callback(*call.args)
@@ -306,114 +307,3 @@ def run_loop(sim, until: Optional[int], max_events: Optional[int]) -> None:
 def generated_variants() -> tuple:
     """Keys of the loop variants generated so far (test/debug hook)."""
     return tuple(sorted(_LOOPS))
-
-
-# ---------------------------------------------------------------------------
-# Push-side specialization
-# ---------------------------------------------------------------------------
-
-#: Generated ``(schedule, call_soon)`` factories, keyed by horizon.
-_BINDERS: dict = {}
-
-# Mirrors Simulator._bind_fast_scheduling's tiered closures with the
-# horizon constant-folded into the routing comparison.  Semantics are
-# identical to TieredEventQueue.push; any change there must be repeated
-# here (and in the kernel's closures).
-_BIND_TEMPLATE = """\
-def _make(sim, q, new, record_cls, heappush, SimulationError):
-    lane = q._lane
-    buckets = q._buckets
-    times = q._times
-    far = q._far
-
-    def schedule(delay, callback, *args):
-        if delay < 0:
-            raise SimulationError(
-                f"cannot schedule {{delay}}ns into the past")
-        time = sim._now + delay
-        seq = q._seq
-        q._seq = seq + 1
-        call = new(record_cls)
-        call.time = time
-        call.seq = seq
-        call.callback = callback
-        call.args = args
-        call.cancelled = False
-        call.defer_ns = 0
-        call.owner = q
-        q._size += 1
-        delta = time - q._qnow
-        if delta == 0:
-            lane.append(call)
-        elif delta < {horizon}:
-            bucket = buckets.get(time)
-            if bucket is None:
-                buckets[time] = call
-                heappush(times, time)
-            elif type(bucket) is list:
-                bucket.append(call)
-            else:
-                buckets[time] = [bucket, call]
-        else:
-            heappush(far, (time, seq, call))
-        return call
-
-    def call_soon(callback, *args):
-        time = sim._now
-        seq = q._seq
-        q._seq = seq + 1
-        call = new(record_cls)
-        call.time = time
-        call.seq = seq
-        call.callback = callback
-        call.args = args
-        call.cancelled = False
-        call.defer_ns = 0
-        call.owner = q
-        q._size += 1
-        if time == q._qnow:
-            # The overwhelmingly common case: a wakeup at the instant
-            # being drained goes straight to the lane.
-            lane.append(call)
-        else:
-            # Between runs the sim clock can sit past the queue clock
-            # (after run(until=...)); route generically.
-            delta = time - q._qnow
-            if delta < {horizon}:
-                bucket = buckets.get(time)
-                if bucket is None:
-                    buckets[time] = call
-                    heappush(times, time)
-                elif type(bucket) is list:
-                    bucket.append(call)
-                else:
-                    buckets[time] = [bucket, call]
-            else:
-                heappush(far, (time, seq, call))
-        return call
-
-    return schedule, call_soon
-"""
-
-
-def bind_scheduling(sim) -> None:
-    """Install horizon-specialized ``schedule``/``call_soon`` closures.
-
-    The kernel calls this for the compiled backend in place of
-    ``_bind_fast_scheduling``; the causality guard, returned handle,
-    and routing are exactly those of ``TieredEventQueue.push``.
-    """
-    from repro.errors import SimulationError
-
-    q = sim._queue
-    horizon = q._horizon
-    factory = _BINDERS.get(horizon)
-    if factory is None:
-        namespace: dict = {}
-        exec(compile(_BIND_TEMPLATE.format(horizon=horizon),
-                     f"<compiled kernel push horizon={horizon}>", "exec"),
-             namespace)
-        factory = _BINDERS[horizon] = namespace["_make"]
-    sim.schedule, sim.call_soon = factory(
-        sim, q, ScheduledCall.__new__, ScheduledCall, heapq.heappush,
-        SimulationError)

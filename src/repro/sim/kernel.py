@@ -28,7 +28,8 @@ from typing import Any, Callable, Iterator, Optional
 
 from repro.errors import SimulationError
 from repro.sim.clock import format_time
-from repro.sim.event import (EventQueue, ScheduledCall, SimEvent,  # noqa: F401
+from repro.sim.event import (EventQueue, HeapEventQueue,  # noqa: F401
+                             ScheduledCall, SimEvent, TieredEventQueue,
                              make_event_queue)
 from repro.sim.process import Process
 from repro.sim.rand import RandomStreams
@@ -84,7 +85,10 @@ class Simulator:
 
     def __init__(self, seed: int = 0, obs: Optional[Any] = None,
                  kernel: Optional[str] = None) -> None:
-        self._now = 0
+        #: Current simulated time in nanoseconds.  A plain attribute, not
+        #: a property: every component reads it several times per event.
+        #: Only the run loops write it.
+        self.now = 0
         #: The resolved scheduler backend name (``heap``/``tiered``/...),
         #: fixed at construction; ``PMNET_KERNEL`` selects it.
         self.kernel = resolve_kernel_backend(kernel)
@@ -93,22 +97,13 @@ class Simulator:
             self._queue = compiled.make_event_queue()
             self._compiled_run = getattr(compiled, "run_loop", None)
         else:
-            compiled = None
             self._queue = make_event_queue(self.kernel)
             self._compiled_run = None
         self._running = False
         self._stopped = False
-        if self.kernel in ("heap", "tiered"):
-            # Shadow the generic schedule/call_soon methods with
-            # backend-specialized closures (see _bind_fast_scheduling).
-            self._bind_fast_scheduling()
-        elif compiled is not None:
-            # The compiled module generates its own push closures (the
-            # horizon is constant-folded); absent the hook it keeps the
-            # generic methods.
-            bind = getattr(compiled, "bind_scheduling", None)
-            if bind is not None:
-                bind(self)
+        # Shadow the generic schedule/call_soon methods with
+        # queue-specialized closures (see _bind_fast_scheduling).
+        self._bind_fast_scheduling()
         self.random = RandomStreams(seed)
         #: Number of callbacks executed so far (observability/debugging).
         self.executed_events = 0
@@ -142,11 +137,6 @@ class Simulator:
     def profiler(self):
         return self._profiler
 
-    @property
-    def now(self) -> int:
-        """Current simulated time in nanoseconds."""
-        return self._now
-
     # ------------------------------------------------------------------
     # Scheduling primitives
     # ------------------------------------------------------------------
@@ -157,26 +147,29 @@ class Simulator:
         generic methods pay a second call frame just to reach
         ``queue.push``.  These closures repeat the push body inline
         (record construction via direct slot stores, tier routing for
-        the tiered backend) with the queue structures captured as
-        closure cells.  Semantics are identical to the class methods
-        they shadow — the causality guard, the returned handle, and the
-        exact routing mirror ``HeapEventQueue.push`` /
-        ``TieredEventQueue.push``; any change there must be repeated
-        here (and in ``repro.sim.compiled``, which generates the same
-        closures with the horizon constant-folded).
+        the tiered queue) with the queue structures captured as closure
+        cells.  Tiered queues (the ``tiered`` and ``compiled`` backends
+        alike — this is the only copy of their push path) also get a
+        fused ``schedule_deferred`` (guard + ``push_deferred`` +
+        ``_insert`` in one frame).  Semantics are identical to the class
+        methods they shadow — the causality guard, the returned handle,
+        and the exact routing mirror ``HeapEventQueue.push`` /
+        ``TieredEventQueue.push``/``push_deferred``; any change there
+        must be repeated here.  A queue of any other type keeps the
+        generic methods.
         """
         q = self._queue
         new = ScheduledCall.__new__
         record_cls = ScheduledCall
         heappush = heapq.heappush
-        if self.kernel == "heap":
+        if type(q) is HeapEventQueue:
             heap = q._heap
 
             def schedule(delay, callback, *args):
                 if delay < 0:
                     raise SimulationError(
                         f"cannot schedule {delay}ns into the past")
-                time = self._now + delay
+                time = self.now + delay
                 seq = q._seq
                 q._seq = seq + 1
                 call = new(record_cls)
@@ -192,7 +185,7 @@ class Simulator:
                 return call
 
             def call_soon(callback, *args):
-                time = self._now
+                time = self.now
                 seq = q._seq
                 q._seq = seq + 1
                 call = new(record_cls)
@@ -206,7 +199,7 @@ class Simulator:
                 heappush(heap, (time, seq, call))
                 q._size += 1
                 return call
-        else:
+        elif isinstance(q, TieredEventQueue):
             lane = q._lane
             buckets = q._buckets
             times = q._times
@@ -217,7 +210,7 @@ class Simulator:
                 if delay < 0:
                     raise SimulationError(
                         f"cannot schedule {delay}ns into the past")
-                time = self._now + delay
+                time = self.now + delay
                 seq = q._seq
                 q._seq = seq + 1
                 call = new(record_cls)
@@ -246,7 +239,7 @@ class Simulator:
                 return call
 
             def call_soon(callback, *args):
-                time = self._now
+                time = self.now
                 seq = q._seq
                 q._seq = seq + 1
                 call = new(record_cls)
@@ -279,6 +272,50 @@ class Simulator:
                         heappush(far, (time, seq, call))
                 return call
 
+            def schedule_deferred(delay, defer_ns, callback, *args):
+                # The generic method's guard, push_deferred, the record
+                # constructor and _insert fused into one frame: the
+                # folded packet path schedules one of these per hop.
+                if type(defer_ns) is tuple:
+                    if delay < 0 or not defer_ns or min(defer_ns) < 0:
+                        raise SimulationError(
+                            f"cannot schedule {delay}+{defer_ns}ns into "
+                            "the past")
+                elif delay < 0 or defer_ns < 0:
+                    raise SimulationError(
+                        f"cannot schedule {delay}+{defer_ns}ns into the past")
+                time = self.now + delay
+                seq = q._seq
+                q._seq = seq + 1
+                call = new(record_cls)
+                call.time = time
+                call.seq = seq
+                call.callback = callback
+                call.args = args
+                call.cancelled = False
+                call.defer_ns = defer_ns
+                call.owner = q
+                q._size += 1
+                delta = time - q._qnow
+                if delta == 0:
+                    lane.append(call)
+                elif delta < horizon:
+                    bucket = buckets.get(time)
+                    if bucket is None:
+                        buckets[time] = call
+                        heappush(times, time)
+                    elif type(bucket) is list:
+                        bucket.append(call)
+                    else:
+                        buckets[time] = [bucket, call]
+                else:
+                    heappush(far, (time, seq, call))
+                return call
+
+            self.schedule_deferred = schedule_deferred
+        else:
+            return
+
         self.schedule = schedule
         self.call_soon = call_soon
 
@@ -293,20 +330,20 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay}ns into the past")
-        return self._queue.push(self._now + delay, callback, args)
+        return self._queue.push(self.now + delay, callback, args)
 
     def schedule_at(self, time: int, callback: Callable[..., None],
                     *args: Any) -> ScheduledCall:
         """Run ``callback(*args)`` at absolute simulated ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
                 f"cannot schedule at {format_time(time)}, now is "
-                f"{format_time(self._now)}")
+                f"{format_time(self.now)}")
         return self._queue.push(time, callback, args)
 
     def call_soon(self, callback: Callable[..., None], *args: Any) -> ScheduledCall:
         """Run ``callback(*args)`` at the current time, after pending events."""
-        return self._queue.push(self._now, callback, args)
+        return self._queue.push(self.now, callback, args)
 
     def schedule_deferred(self, delay: int, defer_ns,
                           callback: Callable[..., None],
@@ -327,11 +364,14 @@ class Simulator:
         every intermediate callback would have had no observable side
         effect.
         """
-        chain = defer_ns if isinstance(defer_ns, tuple) else (defer_ns,)
-        if delay < 0 or any(d < 0 for d in chain) or not chain:
+        if type(defer_ns) is tuple:
+            if delay < 0 or not defer_ns or min(defer_ns) < 0:
+                raise SimulationError(
+                    f"cannot schedule {delay}+{defer_ns}ns into the past")
+        elif delay < 0 or defer_ns < 0:
             raise SimulationError(
                 f"cannot schedule {delay}+{defer_ns}ns into the past")
-        return self._queue.push_deferred(self._now + delay, defer_ns,
+        return self._queue.push_deferred(self.now + delay, defer_ns,
                                          callback, args)
 
     # ------------------------------------------------------------------
@@ -367,9 +407,9 @@ class Simulator:
         call = self._queue._pop_live()
         if call is None:
             return False
-        if call.time < self._now:
+        if call.time < self.now:
             raise SimulationError("event queue returned a past event")
-        self._now = call.time
+        self.now = call.time
         self.executed_events += 1
         if self._profiler is not None:
             self._profiler.record(call.callback)
@@ -396,7 +436,7 @@ class Simulator:
                 self._run_tiered(until, max_events)
         finally:
             self._running = False
-        return self._now
+        return self.now
 
     def _run_heap(self, until: Optional[int], max_events: Optional[int]) -> None:
         """The hot loop over the reference heap backend.
@@ -425,7 +465,7 @@ class Simulator:
                     q._drop_cancelled()
                     continue
                 if check_until and time > until:
-                    self._now = until
+                    self.now = until
                     break
                 if executed == budget:
                     break
@@ -438,7 +478,7 @@ class Simulator:
                     reseqs += 1
                     continue
                 call.owner = None
-                self._now = time
+                self.now = time
                 executed += 1
                 if profiler is not None:
                     profiler.record(call.callback)
@@ -469,7 +509,7 @@ class Simulator:
         beyond the bound is dead it drains to empty and leaves ``now`` at
         the last executed event — it only pins ``now`` to ``until`` when a
         live record remains.  This loop therefore guards the
-        ``self._now = until`` write on the live count (``q._size`` minus
+        ``self.now = until`` write on the live count (``q._size`` minus
         the batched ``executed``), which is exact mid-run because cancels
         decrement ``_size`` immediately.  Every record still queued is at
         or beyond the head time being tested, so "a live record remains"
@@ -480,8 +520,9 @@ class Simulator:
         buckets = q._buckets
         times = q._times
         far = q._far
+        horizon = q._horizon
         heappop = heapq.heappop
-        resequence = q.resequence
+        heappush = heapq.heappush
         profiler = self._profiler
         check_until = until is not None
         budget = -1 if max_events is None else max_events
@@ -507,7 +548,7 @@ class Simulator:
                     # instant, so nothing can join this time.
                     if check_until and qnow > until:
                         if q._size - executed > 0:
-                            self._now = until
+                            self.now = until
                         break
                     if executed == budget:
                         break
@@ -518,7 +559,7 @@ class Simulator:
                 elif lane_pos < len(lane):
                     if check_until and qnow > until:
                         if q._size - executed > 0:
-                            self._now = until
+                            self.now = until
                         break
                     if executed == budget:
                         break
@@ -573,7 +614,7 @@ class Simulator:
                         break
                     if check_until and time > until:
                         if q._size - executed > 0:
-                            self._now = until
+                            self.now = until
                         break
                     if executed == budget:
                         break
@@ -594,14 +635,41 @@ class Simulator:
                 if call.cancelled:
                     q._drop_cancelled()
                     continue
-                if call.defer_ns:
-                    # Latency-folded record: move it to its final slot
-                    # (fresh seq, no callback) — not an executed event.
-                    resequence(call)
+                defer = call.defer_ns
+                if defer:
+                    # Latency-folded record: move it one hop along its
+                    # chain (fresh seq, no callback) — not an executed
+                    # event.  ``TieredEventQueue.resequence``, inlined.
+                    seq = q._seq
+                    q._seq = seq + 1
+                    if type(defer) is tuple:
+                        delay = defer[0]
+                        call.defer_ns = (defer[1] if len(defer) == 2
+                                         else defer[1:])
+                    else:
+                        delay = defer
+                        call.defer_ns = 0
+                    time = call.time + delay
+                    call.time = time
+                    call.seq = seq
+                    delta = time - qnow
+                    if delta == 0:
+                        lane.append(call)
+                    elif delta < horizon:
+                        bucket = buckets.get(time)
+                        if bucket is None:
+                            buckets[time] = call
+                            heappush(times, time)
+                        elif type(bucket) is list:
+                            bucket.append(call)
+                        else:
+                            buckets[time] = [bucket, call]
+                    else:
+                        heappush(far, (time, seq, call))
                     reseqs += 1
                     continue
                 call.owner = None
-                self._now = time
+                self.now = time
                 executed += 1
                 if profiler is not None:
                     profiler.record(call.callback)
@@ -635,5 +703,5 @@ class Simulator:
         return stats
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<Simulator now={format_time(self._now)} "
+        return (f"<Simulator now={format_time(self.now)} "
                 f"pending={self.pending_events()}>")

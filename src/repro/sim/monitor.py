@@ -16,7 +16,14 @@ _UNSET = object()
 
 
 class Counter:
-    """A named monotonically-increasing event counter."""
+    """A named monotonically-increasing event counter.
+
+    Per-frame hot paths bump ``value`` directly (``counter.value += 1``)
+    instead of calling :meth:`increment`: the exported value is the
+    same, without a call frame and a sign check per packet.  Undoing a
+    count always goes through :meth:`rollback`, whose bound check is
+    what exposes a reservation revoked twice.
+    """
 
     __slots__ = ("name", "value")
 

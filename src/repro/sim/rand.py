@@ -54,13 +54,17 @@ class LatencyJitter:
         self.sigma = sigma
         # E[lognormal(mu, sigma)] = exp(mu + sigma^2/2); pick mu so the
         # mean multiplier is exactly 1.0.
-        self._mu = -sigma * sigma / 2.0
+        self.mu = -sigma * sigma / 2.0
+        #: The stream's bound ``normalvariate``: ``lognormvariate(mu,
+        #: sigma)`` is ``exp(normalvariate(mu, sigma))``, so hot callers
+        #: may draw through this directly, value for value.
+        self.normalvariate = rng.normalvariate
 
     def sample(self, base_ns: int) -> int:
         """One jittered sample around ``base_ns`` (mean-preserving)."""
         if base_ns <= 0 or self.sigma == 0.0:
             return max(base_ns, 0)
-        factor = self._rng.lognormvariate(self._mu, self.sigma)
+        factor = math.exp(self.normalvariate(self.mu, self.sigma))
         return max(base_ns // 2, round(base_ns * factor))
 
     def getstate(self):
@@ -121,7 +125,9 @@ def _zeta(n: int, theta: float) -> float:
     key = (n, theta)
     value = _ZETA_CACHE.get(key)
     if value is None:
-        value = sum(1.0 / (i ** theta) for i in range(1, n + 1))
+        # A list, not a generator: the same left-to-right float sum,
+        # without resuming a generator frame per term.
+        value = sum([1.0 / (i ** theta) for i in range(1, n + 1)])
         _ZETA_CACHE[key] = value
     return value
 
