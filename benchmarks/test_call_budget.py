@@ -32,9 +32,11 @@ from repro.protocol.packet import reset_request_ids
 from repro.workloads.loadgen import FlowLoadGenerator, LoadGenConfig
 
 #: Calls into ``src/repro`` per completed request (the default fold level
-#: and scheduler backend; 251 when the budget was set, 542 before the
-#: hot-path flattening that motivated it).
-MAX_CALLS_PER_REQUEST = 300
+#: and scheduler backend; 223 when the budget was tightened to this value
+#: by deleting the revocable host/device reservations and host receive
+#: claims, 251 when it was first set at 300, 542 before the hot-path
+#: flattening that motivated it).
+MAX_CALLS_PER_REQUEST = 240
 
 REQUESTS = 2_000
 

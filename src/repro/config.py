@@ -44,8 +44,8 @@ def fold_level() -> int:
     * **2** — whole-request folding (the default): on top of stage
       folding, uncontended request legs extend across component
       boundaries — channel arrival chains run straight into the device
-      pipeline or the client's receive stack, elided timeout timers,
-      and inline completion dispatch (``PMNET_FOLD=whole``).
+      pipeline, elided timeout timers, and inline completion dispatch
+      (``PMNET_FOLD=whole``).
 
     Every level produces byte-identical results (same virtual times,
     same RNG draws, same tie-breaks); only the executed-event count

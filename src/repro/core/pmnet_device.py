@@ -113,8 +113,7 @@ class PMNetDevice(Node):
             # ingress callback mutates nothing fold — every counter,
             # cache, and log mutation still fires at the exact virtual
             # time the per-stage path produced.  Crash safety: the
-            # folded chains end in callbacks that re-check `failed`
-            # (and `fail()` revokes unstarted channel reservations), so
+            # folded chains end in callbacks that re-check `failed`, so
             # a mid-window crash drops the frame on both timelines; the
             # only unguarded divergence is a crash *and* recovery
             # landing inside one pipeline window (nanoseconds) — the
@@ -132,19 +131,8 @@ class PMNetDevice(Node):
                 return
             if action is MATAction.FORWARD_ACK:
                 # ingress -> egress: a pass-through ACK touches nothing
-                # until the forwarding lookup in `_forward_frame`, so
-                # the whole pipeline can ride a channel reservation —
-                # ingress + egress + serialization + propagation in one
-                # delivery event.  A crash inside the window is safe:
-                # `fail()` revokes the reservation and `_unfold_forward`
-                # re-runs the unfolded fire-time check at its slot.
+                # until the forwarding lookup in `_forward_frame`.
                 self.folded_stages.value += 1
-                pipeline_ns = (self.config.pipeline.ingress_ns
-                               + self.config.pipeline.egress_ns)
-                channel = self.table.lookup(frame.dst).channel
-                if channel is not None and channel.send_in(
-                        pipeline_ns, frame, self._unfold_forward):
-                    return
                 self.sim.schedule_deferred(
                     self.config.pipeline.ingress_ns,
                     self.config.pipeline.egress_ns,
@@ -172,7 +160,9 @@ class PMNetDevice(Node):
         paths, so a cache-capable request never whole-request folds.
         The barriers re-check ``failed``, matching the stage-folded
         interior checks; a crash inside the window drops the frame on
-        both timelines.
+        both timelines.  Both actions carry a PMNet packet, so the
+        channel's ``(frame, frame.payload)`` barrier args are exactly
+        ``(frame, pmnet_packet(frame))``.
         """
         if not self._whole:
             return None
@@ -180,11 +170,10 @@ class PMNetDevice(Node):
         if action is MATAction.LOG_AND_FORWARD:
             return ((self.config.pipeline.ingress_ns,
                      self.config.pipeline.pm_stage_ns),
-                    self._express_ingest, (frame, pmnet_packet(frame)), None)
+                    self._express_ingest)
         if action is MATAction.INVALIDATE_AND_FORWARD:
             return ((self.config.pipeline.ingress_ns,),
-                    self._express_server_ack,
-                    (frame, pmnet_packet(frame)), None)
+                    self._express_server_ack)
         return None
 
     def _express_ingest(self, frame: Frame, packet: PMNetPacket) -> None:
@@ -564,21 +553,7 @@ class PMNetDevice(Node):
         cost = self.config.pipeline.egress_ns
         if payload_cost:
             cost += round(frame.payload_bytes * self.config.pipeline.per_byte_ns)
-        if self._fold:
-            channel = self.table.lookup(frame.dst).channel
-            if channel is not None and channel.send_in(cost, frame,
-                                                       self._unfold_forward):
-                self.folded_stages.value += 1
-                return
         self.sim.schedule(cost, self._forward_frame, frame)
-
-    def _unfold_forward(self, frame: Frame) -> None:
-        """A channel reservation was revoked (competing send, or this
-        device failed mid-window): roll back the fold-time stage count
-        and re-run the unfolded fire-time callback — its ``failed``
-        check included — at the slot it would have occupied."""
-        self.folded_stages.rollback(1)
-        self._forward_frame(frame)
 
     def _forward_frame(self, frame: Frame) -> None:
         if self.failed:
@@ -587,31 +562,17 @@ class PMNetDevice(Node):
 
     def _delayed_transmit(self, cost: int, packet: PMNetPacket,
                           destination: str) -> None:
-        """Send a device-generated packet after a fixed generation delay,
-        folding the delay into the wire when the channel is reservable.
-        The revocation path reuses ``_unfold_forward``: the frame is
-        prebuilt, so the unfolded ``_transmit_packet`` fire-time
-        semantics (failed check, lookup, transmit) are identical."""
-        if self._fold:
-            frame = self._make_frame(packet, destination)
-            channel = self.table.lookup(destination).channel
-            if channel is not None and channel.send_in(cost, frame,
-                                                       self._unfold_forward):
-                self.folded_stages.value += 1
-                return
+        """Send a device-generated packet after a fixed generation delay."""
         self.sim.schedule(cost, self._transmit_packet, packet, destination)
-
-    def _make_frame(self, packet: PMNetPacket, destination: str) -> Frame:
-        return Frame(src=self.name, dst=destination, payload=packet,
-                     payload_bytes=packet.wire_bytes,
-                     udp_port=51000 + packet.session_id % 1000)
 
     def _transmit_packet(self, packet: PMNetPacket, destination: str) -> None:
         """Wrap a device-generated packet in a frame and send it."""
         if self.failed:
             return
-        self.table.lookup(destination).transmit(self._make_frame(packet,
-                                                                 destination))
+        self.table.lookup(destination).transmit(Frame(
+            src=self.name, dst=destination, payload=packet,
+            payload_bytes=packet.wire_bytes,
+            udp_port=51000 + packet.session_id % 1000))
 
     # ------------------------------------------------------------------
     # Failure semantics
@@ -619,9 +580,8 @@ class PMNetDevice(Node):
     def fail(self) -> None:
         """Power-fail the device: durable log entries survive, everything
         volatile (queues, in-flight PM writes, pipeline state) is lost.
-        ``super().fail()`` also revokes every unstarted channel
-        reservation, so folded sends committed before the crash fall
-        back to their unfolded fire-time checks and drop."""
+        Frames still inside the pipeline drop at their fire-time
+        ``failed`` checks, folded or not."""
         super().fail()
         self.pm.crash()
         self.log.crash()

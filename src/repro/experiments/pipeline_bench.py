@@ -1,13 +1,17 @@
 """End-to-end pipeline benchmark: events/request across fold levels.
 
 Runs the Fig 16 stress shape (many closed-loop clients hammering the
-PMNet-switch deployment with 1000 B updates) three times in one process
-— once per fold level (``none``, ``stage``, ``whole``) — with an
+PMNet-switch deployment with 1000 B updates) at every fold level
+(``none``, ``stage``, ``whole``) in one process, with an
 :class:`~repro.sim.profiler.EventProfiler` attached to each run.  The
 result captures the whole point of the folded paths in a few numbers:
 
 * **events/request** at each level (each fold removes scheduled hops),
-* **requests/sec of wall clock** at each level (fewer events -> faster),
+* **calls/request** at each level — Python calls into ``src/repro``
+  during the run, counted by ``cProfile`` in a separate pass so the
+  wall clock stays unprofiled; unlike events, calls price what a fold
+  costs as well as what it saves, and they are as deterministic,
+* **requests/sec of wall clock** at each level,
 * **latencies_identical** — every per-request latency sample must be
   byte-identical across all levels, the folding correctness bar, and
 * **loadgen** — a flow-level closed-loop run with >= 10^4 modeled users
@@ -20,10 +24,13 @@ Two entry points use this module: ``pmnet-repro bench-pipeline``
 
 from __future__ import annotations
 
+import cProfile
 import os
+import pstats
 import time
 from typing import Dict, Optional
 
+import repro
 from repro.config import SystemConfig
 from repro.experiments.deploy import DeploymentSpec, build
 from repro.experiments.driver import run_closed_loop
@@ -41,9 +48,20 @@ FOLD_MODES = ("none", "stage", "whole")
 #: The loadgen leg must model at least this many users in one run.
 LOADGEN_MIN_USERS = 10_000
 
+_PACKAGE_ROOT = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
+
+
+def _package_calls(profile: cProfile.Profile) -> int:
+    """Calls a profile recorded into functions defined under
+    ``src/repro`` (standard library and builtins excluded)."""
+    return sum(stat[1] for (path, _line, _name), stat
+               in pstats.Stats(profile).stats.items()
+               if os.path.abspath(path).startswith(_PACKAGE_ROOT))
+
 
 def _run_mode(fold: str, clients: int, requests_per_client: int,
-              seed: int, spans: bool = False) -> Dict[str, object]:
+              seed: int, spans: bool = False,
+              count_calls: bool = False) -> Dict[str, object]:
     """One measured run at fold level ``fold`` ("none"/"stage"/"whole");
     the level is toggled via the same ``PMNET_FOLD`` environment switch
     users have (read at deployment construction time).
@@ -51,6 +69,9 @@ def _run_mode(fold: str, clients: int, requests_per_client: int,
     ``spans=True`` attaches an :class:`~repro.obs.context.Observability`
     with the span recorder enabled — the overhead-guarantee benchmark
     variant: latencies and event counts must not move.
+
+    ``count_calls=True`` profiles the run with ``cProfile`` and adds
+    ``calls_per_request``; its wall-clock fields are then profiled too.
     """
     from repro.obs.context import Observability
 
@@ -80,13 +101,18 @@ def _run_mode(fold: str, clients: int, requests_per_client: int,
     def op_maker(ci: int, ri: int, rng):
         return Operation(OpKind.SET, key=(ci, ri), value=b"x"), PAYLOAD
 
+    calls = cProfile.Profile() if count_calls else None
     started = time.perf_counter()
+    if calls is not None:
+        calls.enable()
     stats = run_closed_loop(deployment, op_maker,
                             requests_per_client=requests_per_client,
                             warmup_requests=5)
+    if calls is not None:
+        calls.disable()
     wall_seconds = time.perf_counter() - started
     requests = stats.update_latencies.count
-    return {
+    result = {
         "mode": fold,
         "requests": requests,
         "executed_events": deployment.sim.executed_events,
@@ -98,16 +124,24 @@ def _run_mode(fold: str, clients: int, requests_per_client: int,
         "kernel_stats": deployment.sim.kernel_stats(),
         "latency_samples": stats.update_latencies.samples,
     }
+    if calls is not None:
+        result["calls_per_request"] = (_package_calls(calls) / requests
+                                       if requests else 0.0)
+    return result
 
 
 def _best_of(fold: str, clients: int, requests_per_client: int,
              seed: int, repeats: int, spans: bool = False) -> Dict[str, object]:
     """Repeat one fold level, keeping the least-disturbed wall clock.
 
-    Event counts and latency samples are deterministic — identical on
-    every repeat — so only the wall-clock fields take the best-of-N
-    microbenchmark reduction."""
+    Event counts, call counts and latency samples are deterministic —
+    identical on every repeat — so only the wall-clock fields take the
+    best-of-N microbenchmark reduction.  Calls are counted in one extra
+    profiled run, kept out of the timed ones."""
     best = _run_mode(fold, clients, requests_per_client, seed, spans)
+    best["calls_per_request"] = _run_mode(
+        fold, clients, requests_per_client, seed, spans,
+        count_calls=True)["calls_per_request"]
     for _ in range(repeats - 1):
         again = _run_mode(fold, clients, requests_per_client, seed, spans)
         if again["wall_seconds"] < best["wall_seconds"]:
@@ -170,6 +204,8 @@ def run_pipeline_benchmark(clients: int = 32, requests_per_client: int = 20,
     off = by_mode["none"]["events_per_request"]
     stage = by_mode["stage"]["events_per_request"]
     whole = by_mode["whole"]["events_per_request"]
+    stage_calls = by_mode["stage"]["calls_per_request"]
+    whole_calls = by_mode["whole"]["calls_per_request"]
     return {
         "benchmark": "pipeline_events",
         "clients": clients,
@@ -185,6 +221,9 @@ def run_pipeline_benchmark(clients: int = 32, requests_per_client: int = 20,
         "events_per_request_reduction": (off - whole) / off if off else 0.0,
         "whole_vs_stage_reduction": ((stage - whole) / stage
                                      if stage else 0.0),
+        "whole_vs_stage_call_reduction": (
+            (stage_calls - whole_calls) / stage_calls
+            if stage_calls else 0.0),
         "latencies_identical": identical,
         "loadgen": _run_loadgen_floor(seed),
     }
@@ -205,6 +244,7 @@ def format_result(result: Dict[str, object]) -> str:
     no_fold = result["no_fold"]
     reduction = result["events_per_request_reduction"]
     whole_vs_stage = result["whole_vs_stage_reduction"]
+    call_reduction = result["whole_vs_stage_call_reduction"]
     loadgen = result["loadgen"]
     identical = ("identical" if result["latencies_identical"]
                  else "DIVERGED (bug!)")
@@ -214,6 +254,10 @@ def format_result(result: Dict[str, object]) -> str:
         f"vs {no_fold['events_per_request']:.2f} unfolded "
         f"({reduction:.1%} fewer than unfolded, "
         f"{whole_vs_stage:.1%} fewer than stage)",
+        f"pipeline calls/request: {fold['calls_per_request']:.1f} whole "
+        f"vs {stage['calls_per_request']:.1f} stage "
+        f"vs {no_fold['calls_per_request']:.1f} unfolded "
+        f"({call_reduction:.1%} fewer than stage)",
         f"wall-clock requests/sec: {fold['requests_per_second']:,.0f} whole "
         f"vs {no_fold['requests_per_second']:,.0f} unfolded",
         f"per-request latencies: {identical} across modes "

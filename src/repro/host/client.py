@@ -116,20 +116,10 @@ class PMNetClient:
         self.completed_server = Counter(f"{scope}.completed_server")
         self.completed_cache = Counter(f"{scope}.completed_cache")
         self.retransmissions = Counter(f"{scope}.retransmissions")
-        # Client hosts may crash (client_failure_mid_run) but are never
-        # *recovered* mid-run, which is all HostNode.fold_outbound's
-        # contract requires: Node.fail revokes unstarted reservations,
-        # so a folded send dies with the host exactly as an unfolded
-        # one would.  Fold the stack send cost into the NIC channel.
-        host.fold_outbound = True
+        #: Whole-request folding: the completion timeout is cancelled
+        #: instead of firing as a no-op, and the application wakeup
+        #: dispatches inline at its unfolded heap slot.
         self._whole = whole_request_folding_enabled()
-        if self._whole:
-            # Whole-request folding: inbound ACK chains may extend
-            # through the stack receive cost (revocable pre-draw), the
-            # completion timeout is cancelled instead of firing as a
-            # no-op, and the application wakeup dispatches inline at its
-            # unfolded heap slot.
-            host.express_inbound = True
         register_with_sim(sim, self)
 
     def instruments(self) -> tuple:
@@ -303,11 +293,9 @@ class PMNetClient:
                              seq=first.seq_num, via=via,
                              update=state.is_update, ok=result.ok)
         # The application wakeup (epoll + scheduler) is charged here.
-        # The draw goes through the host so an outstanding express-claim
-        # pre-draw is revoked before the jitter stream advances.
         completion = Completion(result=result, via=via,
                                 retransmissions=state.retransmissions)
-        cost = self.host.dispatch_cost()
+        cost = self.host.stack.dispatch_cost()
         if self._whole and state.completion.waiter_count == 1:
             # Single waiter (the driver): run it inline at the wakeup
             # instant.  The one-hop ``(0,)`` defer re-sequences the

@@ -19,7 +19,6 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional
 
-from repro.config import whole_request_folding_enabled
 from repro.host.handler import HandlerOutcome, LockTable, RequestHandler
 from repro.host.node import HostNode
 from repro.net.packet import Frame, RawPayload
@@ -94,15 +93,6 @@ class PMNetServer:
         #: the machine may answer pings (it has rebooted) but the
         #: application drops PMNet traffic until its PM pools are open.
         self._app_ready = True
-        if whole_request_folding_enabled():
-            # Whole-request folding: fold the stack send cost into the
-            # NIC reservation on the server too.  The contract's gap is
-            # a crash *and* recovery both inside one microsecond-scale
-            # send window; server recovery costs at least the handler's
-            # app-recovery time (milliseconds), so a revoked reservation
-            # always fires while the host is still down and drops the
-            # frame exactly as the unfolded epoch check would.
-            host.fold_outbound = True
         self._spawn_workers()
         register_with_sim(sim, self)
 

@@ -48,24 +48,6 @@ class HostStack:
         self._hiccup_rng = sim.random.stream(f"hiccup:{name}")
 
     # ------------------------------------------------------------------
-    # Whole-request folding: a host may pre-draw one receive cost at
-    # reservation time (an express arrival claim).  The snapshot/restore
-    # pair rewinds the jitter stream to its unfolded position when the
-    # claim is revoked — valid because every competing draw site revokes
-    # the claim *before* drawing, so at restore time the claim's draw is
-    # still the stream's most recent.  ``send_cost``/``recv_cost`` draw
-    # only from the jitter stream (the hiccup stream is dispatch-only),
-    # so the jitter state alone captures what a claim consumed.
-    # ------------------------------------------------------------------
-    def jitter_state(self):
-        """Opaque snapshot of the jitter stream's RNG state."""
-        return self._jitter.getstate()
-
-    def restore_jitter_state(self, state) -> None:
-        """Rewind the jitter stream to a :meth:`jitter_state` snapshot."""
-        self._jitter.setstate(state)
-
-    # ------------------------------------------------------------------
     def send_cost(self, payload_bytes: int) -> int:
         """Cost of pushing one packet down the stack onto the NIC."""
         base = (self.profile.send_ns

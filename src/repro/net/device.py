@@ -44,14 +44,6 @@ class Port:
 class Node:
     """Base class for every device attached to the fabric."""
 
-    #: Whether this node's :meth:`arrival_extension` answer is a pure
-    #: function of the frame *kind* (its classification), so channels
-    #: may cache the returned plan per (node, kind) and rebuild only the
-    #: per-frame ``args`` (see :meth:`Channel._sink_extension`).  Nodes
-    #: whose extensions carry per-frame state — pre-drawn RNG, claim
-    #: slots — must set this ``False`` and are queried per delivery.
-    arrival_plans_static = True
-
     def __init__(self, sim: "Simulator", name: str) -> None:
         self.sim = sim
         self.name = name
@@ -59,12 +51,10 @@ class Node:
         #: Set by the failure injector; failed nodes drop all traffic.
         self.failed = False
         #: Per-frame-kind arrival-extension plans cached by inbound
-        #: channels (``None`` disables caching entirely).  Invalidated
-        #: on failure, recovery, impairment change, and device
-        #: replacement — any event that could change what this node
-        #: answers.
-        self._arrival_plans: Optional[dict] = (
-            {} if self.arrival_plans_static else None)
+        #: channels.  Invalidated on failure, recovery, impairment
+        #: change, and device replacement — any event that could change
+        #: what this node answers.
+        self._arrival_plans: dict = {}
 
     def add_port(self) -> Port:
         """Create one more port on this node."""
@@ -82,31 +72,34 @@ class Node:
         raise NotImplementedError
 
     def arrival_extension(self, frame: Frame):
-        """Whole-request folding hook, queried by :meth:`Channel.send_in`.
+        """Whole-request folding hook, queried by an inbound channel
+        when it schedules a delivery.
 
         A node that can absorb this frame's arrival into deterministic
-        extra hops returns ``(extra_hops, callback, args, claim)``: the
-        wire chain is extended by ``extra_hops`` and ends in
-        ``callback(*args)`` — a barrier that must re-check the node's
-        liveness exactly as the stage-folded interior callbacks would —
-        instead of the usual ``Channel._deliver`` delivery.  ``claim``
-        (or ``None``) is released on every in-place revocation so any
-        RNG state the node pre-drew rewinds.  The base node never
-        extends.
+        extra hops returns ``(extra_hops, barrier)``: the wire chain is
+        extended by ``extra_hops`` and ends in ``barrier(frame,
+        frame.payload)`` — which must re-check the node's liveness
+        exactly as the stage-folded interior callbacks would — instead
+        of the usual ``Channel._deliver`` delivery.  The answer must be
+        a pure function of the frame's kind (its PMNet packet type, or
+        "not PMNet"): channels cache it per kind until
+        :meth:`invalidate_arrival_plans`.  The base node never extends.
         """
         return None
 
     def fail(self) -> None:
         """Mark the node failed (volatile state handling is subclass duty).
 
-        Folded sends commit their delivery at reservation time, before
-        the instant the unfolded model would have re-checked ``failed``
-        (see :meth:`Channel.send_in`).  Revoking every not-yet-started
-        reservation on this node's outgoing channels converts each one
-        back into its unfolded fire-time callback, so a crash inside a
-        fold window drops exactly the frames the unfolded model drops.
-        Started reservations (serialization underway) are kept: the
-        unfolded timeline had also committed those to the wire.
+        A switch's folded forwards commit their delivery at reservation
+        time, before the instant the unfolded model would have
+        re-checked ``failed`` (see :meth:`Channel.send_in`).  Revoking
+        every not-yet-started reservation on this node's outgoing
+        channels converts each one back into its unfolded fire-time
+        callback, so a crash inside a fold window drops exactly the
+        frames the unfolded model drops.  Started reservations
+        (serialization underway) are kept: the unfolded timeline had
+        also committed those to the wire.  Nodes that never reserve
+        (hosts, PMNet devices) find nothing to revoke.
         """
         self.failed = True
         self.invalidate_arrival_plans()

@@ -45,22 +45,23 @@ callback (the owner's unfolded fire-time callback) with every
 reservation, and ``Node.fail`` revokes every reservation that has not
 started serializing — converting each back into that callback at its
 original queue slot, where the owner's ``failed`` check drops the frame
-exactly as the unfolded run would.
+exactly as the unfolded run would.  Switches are the only nodes that
+reserve: host stack sends and PMNet device egress always schedule their
+own fire-time callback, because at those sites most reservations were
+revoked again before they started.
 
-**Whole-request folding** (fold level 2) extends a reservation's chain
-*through the receiving node*: at reservation time the channel asks the
-sink node for an :meth:`~repro.net.device.Node.arrival_extension` —
-extra deterministic hops (a PMNet device's ingress/PM stages, a client
-host's pre-drawn stack receive cost) appended to the serialize +
+**Whole-request folding** (fold level 2) extends a folded chain
+*through the receiving node*: the channel asks the sink node for an
+:meth:`~repro.net.device.Node.arrival_extension` — extra deterministic
+hops (a PMNet device's ingress/PM stages) appended to the serialize +
 propagation chain, ending in the node's own barrier callback instead of
 :meth:`_deliver`.  Each extra hop re-sequences at exactly the instant
 the stage-folded path would have allocated the corresponding event, so
 tie-breaking is unchanged; the barrier re-checks the receiver's
 liveness just as the stage-folded interior callbacks would.  Extended
 records revoke in place like base ones — a queueing frame, a competing
-send, a node failure, or (for claims) any competing RNG draw at the
-receiving host converts the record back to the exact stage-folded (or
-unfolded) shape via :meth:`strip_extension`.
+send or a node failure converts the record back to the exact unfolded
+shape.
 """
 
 from __future__ import annotations
@@ -138,24 +139,20 @@ class _Reservation:
     serialize + propagation chain, more when an arrival extension was
     appended): a record is *started* once its remaining hop count drops
     below ``hops``, and past the serialize-end slot once it drops to
-    ``hops - 2``.  ``claim`` is the receiving host's pre-drawn RNG
-    claim, if any — every in-place revocation must release it so the
-    host's random stream rewinds to its unfolded position.
+    ``hops - 2``.
     """
 
-    __slots__ = ("call", "frame", "start", "prev_busy_until", "wire_bytes",
-                 "on_revoke", "hops", "claim")
+    __slots__ = ("call", "frame", "prev_busy_until", "wire_bytes",
+                 "on_revoke", "hops")
 
-    def __init__(self, call, frame, start, prev_busy_until, wire_bytes,
-                 on_revoke, hops, claim):
+    def __init__(self, call, frame, prev_busy_until, wire_bytes, on_revoke,
+                 hops):
         self.call = call
         self.frame = frame
-        self.start = start
         self.prev_busy_until = prev_busy_until
         self.wire_bytes = wire_bytes
         self.on_revoke = on_revoke
         self.hops = hops
-        self.claim = claim
 
 
 class Channel:
@@ -194,7 +191,7 @@ class Channel:
         #: The :class:`_Reservation` backing :attr:`_serializing` when it
         #: came from :meth:`send_in` (``None`` for plain-send folds) —
         #: needed to interpret an *extended* record's remaining hops and
-        #: to release its claim on conversion.
+        #: to recover its frame on conversion.
         self._serializing_res = None
         #: Future-start :class:`_Reservation` records taken by
         #: :meth:`send_in`, oldest first.  A plain :meth:`send` arriving
@@ -240,20 +237,18 @@ class Channel:
 
     def _sink_extension(self, frame: Frame):
         """The receiving node's arrival extension for ``frame``, served
-        from the per-(node, frame-kind) plan cache when the node allows.
+        from the per-(node, frame-kind) plan cache.
 
         The extension walk (classification + config lookups) is a pure
-        function of the frame kind on nodes that declare
-        ``arrival_plans_static`` — re-walking it on every delivery was
-        measurable at loadgen scale.  A cached plan stores only the
-        static half ``(hops, barrier)``; the per-frame ``args`` are
-        rebuilt as ``(frame, frame.payload)``, which is exactly what
-        every static extender passes.  A cache miss queries the node
-        through its instance attribute (so test spies intercept the
-        first delivery of each kind), and anything per-frame — a claim,
-        or unexpected args — is passed through uncached.  Plans are
-        dropped by ``Node.invalidate_arrival_plans`` on failure,
-        recovery, impairment change, and device replacement.
+        function of the frame kind — re-walking it on every delivery was
+        measurable at loadgen scale.  A cached plan is the node's
+        ``(hops, barrier)`` answer; the returned triple adds the
+        barrier's per-frame args, always ``(frame, frame.payload)``
+        (see ``Node.arrival_extension``).  A cache miss queries the node
+        through its instance attribute, so test spies intercept the
+        first delivery of each kind.  Plans are dropped by
+        ``Node.invalidate_arrival_plans`` on failure, recovery,
+        impairment change, and device replacement.
 
         The send paths call this only when :attr:`_sink_extends` is set,
         i.e. when the sink node's *class* overrides
@@ -262,8 +257,6 @@ class Channel:
         """
         node = self.sink.node
         plans = node._arrival_plans
-        if plans is None:
-            return node.arrival_extension(frame)
         payload = frame.payload
         if (PMNET_UDP_PORT_MIN <= frame.udp_port <= PMNET_UDP_PORT_MAX
                 and isinstance(payload, PMNetPacket)):
@@ -276,17 +269,12 @@ class Channel:
             if extension is None:
                 plans[kind] = None
                 return None
-            hops, callback, args, claim = extension
-            if claim is not None or args != (frame, payload):
-                # Per-frame state the rebuild could not reproduce:
-                # serve it, but never cache it.
-                return extension
-            plans[kind] = (tuple(hops), callback)
-            return extension
-        if plan is None:
+            hops, callback = extension
+            plan = plans[kind] = (tuple(hops), callback)
+        elif plan is None:
             return None
         hops, callback = plan
-        return (hops, callback, (frame, payload), None)
+        return (hops, callback, (frame, payload))
 
     def send(self, frame: Frame) -> None:
         """Enqueue a frame for transmission (drop-tail when full)."""
@@ -323,19 +311,19 @@ class Channel:
             # plain send starts serializing immediately, so the record
             # goes straight into the :attr:`_serializing` slot (with a
             # reservation alongside when extended, so hop accounting and
-            # claim release keep working on conversion).
+            # frame recovery keep working on conversion).
             wire_bytes, serialize = (self._costs.get(frame.payload_bytes)
                                      or self._cost_of(frame.payload_bytes))
             self.bytes_sent.value += wire_bytes
             self.folded_sends.value += 1
             now = self.sim.now
             hops = (self.profile.propagation_ns,)
-            callback, args, claim = self._deliver, (frame,), None
+            callback, args = self._deliver, (frame,)
             extension = (self._sink_extension(frame) if self._sink_extends
                          else None)
             if extension is not None:
-                extra_hops, ext_callback, ext_args, claim = extension
-                hops = hops + tuple(extra_hops)
+                extra_hops, ext_callback, ext_args = extension
+                hops = hops + extra_hops
                 callback, args = self._deliver_ext, (ext_callback, ext_args)
             call = self.sim.schedule_deferred(
                 serialize, hops if len(hops) > 1 else hops[0],
@@ -346,10 +334,8 @@ class Channel:
                 # (it lives in the record's surface delay here), so the
                 # started/free arithmetic stays uniform.
                 self._serializing_res = _Reservation(
-                    call, frame, now, self._busy_until, wire_bytes, None,
-                    len(hops) + 1, claim)
-                if claim is not None:
-                    claim.attach(call, self)
+                    call, frame, self._busy_until, wire_bytes, None,
+                    len(hops) + 1)
             else:
                 self._serializing_res = None
             self._busy_until = now + serialize
@@ -383,14 +369,13 @@ class Channel:
                     f"in-flight record to convert")
 
     def send_in(self, pre_delay_ns: int, frame: Frame,
-                on_revoke: Optional[Callable[[Frame], None]] = None) -> bool:
+                on_revoke: Callable[[Frame], None]) -> bool:
         """Reserve the transmitter for a send ``pre_delay_ns`` from now.
 
         A node whose next hop toward the wire is a fixed delay (a
-        switch's forwarding latency, a device's egress stage, a host's
-        stack-send cost) can fold that delay into the wire chain:
-        pre-delay + serialization + propagation become one deferred
-        event that executes only at delivery.  The reservation is taken
+        switch's forwarding latency) can fold that delay into the wire
+        chain: pre-delay + serialization + propagation become one
+        deferred event that executes only at delivery.  The reservation is taken
         only when the transmitter is predictably idle at send time:
         empty queue, no transmission in progress, any current busy
         period (including earlier reservations) over by
@@ -410,12 +395,11 @@ class Channel:
 
         ``on_revoke`` is the unfolded fire-time callback the reservation
         replaces: when revoked, the reservation's heap slot runs
-        ``on_revoke(frame)`` so the owner's liveness check (``failed``,
-        epoch) executes exactly as it would have unfolded.  Callers that
+        ``on_revoke(frame)`` so the owner's liveness check (``failed``)
+        executes exactly as it would have unfolded.  Callers that
         incremented counters at fold time must roll them back inside
-        ``on_revoke``.  Without one, the revoked slot falls back to a
-        bare re-:meth:`send` — correct only for senders that can never
-        fail mid-run (bare channels in tests).
+        ``on_revoke``.  A sender that can never fail mid-run may pass
+        :meth:`send` itself.
         """
         start = self.sim.now + pre_delay_ns
         if not (self._fold and not self._transmitting and not self._queue
@@ -429,22 +413,20 @@ class Channel:
         self.bytes_sent.value += wire_bytes
         self.folded_sends.value += 1
         hops = (serialize, self.profile.propagation_ns)
-        callback, args, claim = self._deliver, (frame,), None
+        callback, args = self._deliver, (frame,)
         extension = (self._sink_extension(frame) if self._sink_extends
                      else None)
         if extension is not None:
             # Whole-request folding: the receiving node extends the
             # chain through its own deterministic pipeline head, ending
             # in a barrier callback that re-checks its liveness.
-            extra_hops, ext_callback, ext_args, claim = extension
-            hops = hops + tuple(extra_hops)
+            extra_hops, ext_callback, ext_args = extension
+            hops = hops + extra_hops
             callback, args = self._deliver_ext, (ext_callback, ext_args)
         call = self.sim.schedule_deferred(pre_delay_ns, hops, callback, *args)
-        reservation = _Reservation(call, frame, start, self._busy_until,
-                                   wire_bytes, on_revoke, len(hops), claim)
-        if claim is not None:
-            claim.attach(call, self)
-        self._reservations.append(reservation)
+        self._reservations.append(_Reservation(
+            call, frame, self._busy_until, wire_bytes, on_revoke,
+            len(hops)))
         self._busy_until = start + serialize
         return True
 
@@ -502,52 +484,10 @@ class Channel:
                 restored = True
             self.bytes_sent.rollback(entry.wire_bytes)
             self.folded_sends.rollback(1)
-            if entry.claim is not None:
-                entry.claim.release()
             call = entry.call
             call.defer_ns = 0
-            call.callback = (self._revoked_send if entry.on_revoke is None
-                             else entry.on_revoke)
+            call.callback = entry.on_revoke
             call.args = (entry.frame,)
-
-    def strip_extension(self, call, frame: Frame) -> None:
-        """Convert an extended in-flight record back to the stage-folded
-        chain (the receiving node revoked its arrival extension).
-
-        The claim's pre-drawn hop is removed and the record becomes a
-        plain ``_deliver`` chain: drop the trailing extension hop from
-        whatever shape the chain is currently in, so the record ends at
-        the wire-arrival instant with the seq the stage-folded path
-        allocates there.  Reservation bookkeeping shrinks to the base
-        two-hop interpretation so started/free detection keeps working.
-        """
-        defer = call.defer_ns
-        if type(defer) is tuple:
-            if len(defer) > 2:
-                call.defer_ns = defer[:-1]
-            elif len(defer) == 2:
-                call.defer_ns = defer[0]
-            elif defer:
-                # A post-serialization extension (``_launch``): the sole
-                # remaining hop IS the claim's — the record already sits
-                # at the wire-arrival slot.
-                call.defer_ns = 0
-            else:
-                return
-        elif defer:
-            call.defer_ns = 0
-        else:
-            return  # already at its final slot: nothing left to strip
-        call.callback = self._deliver
-        call.args = (frame,)
-        if self._serializing is call:
-            self._serializing_res = None
-        else:
-            for entry in self._reservations:
-                if entry.call is call:
-                    entry.hops = 2
-                    entry.claim = None
-                    break
 
     def on_impairments_changed(self) -> None:
         """Fall in-flight folded work back to the unfolded path after a
@@ -579,11 +519,6 @@ class Channel:
             if _remaining_hops(call) == ext + 1:
                 self._unfold_inflight()
 
-    def _revoked_send(self, frame: Frame) -> None:
-        """Fallback for reservations taken without ``on_revoke``: re-send
-        unconditionally.  Only correct when the sender cannot fail."""
-        self.send(frame)
-
     def _unfold_inflight(self) -> None:
         """Convert the in-flight folded transmission into ``_serialized``.
 
@@ -605,9 +540,6 @@ class Channel:
         ext = res.hops - 2 if res is not None else 0
         assert call is not None and _remaining_hops(call) == ext + 1, \
             "busy transmitter without a convertible folded record"
-        if res is not None and res.claim is not None:
-            res.claim.release()
-            res.claim = None
         call.callback = self._serialized
         call.args = (res.frame,) if res is not None else call.args
         call.defer_ns = 0
@@ -644,19 +576,16 @@ class Channel:
             # each extension hop re-sequences exactly where the
             # stage-folded interior would have allocated its events, so
             # the chain is heap-order-identical with one event fewer.
-            # The record is already past the transmitter (nothing here
-            # tracks it), and claims stay revocable through the host
-            # hooks.  Impaired copies never extend, mirroring the fold
-            # gate.
+            # The record is already past the transmitter, so nothing
+            # here tracks it.  Impaired copies never extend, mirroring
+            # the fold gate.
             extension = (self._sink_extension(frame) if self._sink_extends
                          else None)
             if extension is not None:
-                extra_hops, ext_callback, ext_args, claim = extension
-                call = self.sim.schedule_deferred(
-                    self.profile.propagation_ns, tuple(extra_hops),
+                extra_hops, ext_callback, ext_args = extension
+                self.sim.schedule_deferred(
+                    self.profile.propagation_ns, extra_hops,
                     self._deliver_ext, ext_callback, ext_args)
-                if claim is not None:
-                    claim.attach(call, self)
                 return
             self.sim.schedule(self.profile.propagation_ns,
                               self._deliver, frame)

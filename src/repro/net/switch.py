@@ -58,11 +58,9 @@ _SPAN_STAGES = {
 class Switch(Node):
     """Forwards every frame toward its destination after a fixed delay.
 
-    A switch never extends inbound chains (``arrival_extension`` stays
-    the base ``None``), and that answer is static — the inherited
-    ``arrival_plans_static = True`` lets inbound channels cache the
-    "never extends" verdict per frame kind instead of re-asking on
-    every delivery.
+    A switch never extends inbound chains: it keeps the base
+    ``arrival_extension``, so inbound channels never ask it.  It is the
+    only node that reserves its output channel (:meth:`Channel.send_in`).
     """
 
     def __init__(self, sim: "Simulator", name: str,

@@ -50,7 +50,6 @@ class LatencyJitter:
     def __init__(self, rng: random.Random, sigma: float = 0.12) -> None:
         if sigma < 0:
             raise ValueError(f"sigma must be non-negative, got {sigma}")
-        self._rng = rng
         self.sigma = sigma
         # E[lognormal(mu, sigma)] = exp(mu + sigma^2/2); pick mu so the
         # mean multiplier is exactly 1.0.
@@ -66,14 +65,6 @@ class LatencyJitter:
             return max(base_ns, 0)
         factor = math.exp(self.normalvariate(self.mu, self.sigma))
         return max(base_ns // 2, round(base_ns * factor))
-
-    def getstate(self):
-        """Snapshot the underlying stream (for revocable pre-draws)."""
-        return self._rng.getstate()
-
-    def setstate(self, state) -> None:
-        """Rewind the underlying stream to a :meth:`getstate` snapshot."""
-        self._rng.setstate(state)
 
 
 def zipfian_ranks(rng: random.Random, population: int, theta: float,

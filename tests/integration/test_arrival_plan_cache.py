@@ -11,7 +11,7 @@ These tests pin the cache's contract:
   file exists for — an impairment window opening mid-flight (the
   100 %-loss scenario from ``test_whole_fold_boundaries``), after which
   the node is re-queried from scratch;
-* host nodes, whose extensions pre-draw RNG state, are never cached.
+* host nodes never extend, so nothing is ever cached for them.
 
 End-to-end identity of impaired-window runs across fold levels stays in
 ``test_whole_fold_boundaries``; identity across scheduler backends in
@@ -103,8 +103,7 @@ class TestPlanCacheHits:
                 continue
             assert tuple(fresh[0]) == tuple(cached[0]), kind
             assert fresh[1] is cached[1], kind
-            assert cached[2] == (frame, frame.payload), kind
-            assert fresh[3] is None and cached[3] is None, kind
+            assert fresh[2] == cached[2] == (frame, frame.payload), kind
 
 
 class TestPlanCacheInvalidation:
@@ -156,7 +155,9 @@ class TestPlanCacheInvalidation:
     def test_host_nodes_are_never_cached(self):
         deployment, _handler = _build("whole", clients=1)
         host = deployment.clients[0].host
-        assert host.arrival_plans_static is False
-        assert host._arrival_plans is None
+        inbound = [channel for link in deployment.topology.links
+                   for channel in (link.forward, link.backward)
+                   if channel.sink.node is host]
+        assert inbound and not any(c._sink_extends for c in inbound)
         _run_updates(deployment, requests=2)
-        assert host._arrival_plans is None
+        assert host._arrival_plans == {}

@@ -1,7 +1,7 @@
 """The folding correctness bar: fold on == fold off, byte for byte.
 
 The latency-folded fast paths (``net/link.py`` reservations and chains,
-``core/pmnet_device.py`` stage folds, ``host/node.py`` outbound folds)
+``net/switch.py`` forwarding folds, ``core/pmnet_device.py`` stage folds)
 claim to change only the executed-event count, never a delivery time, a
 queue decision, or an RNG draw.  This file holds that claim to account:
 
@@ -16,10 +16,13 @@ queue decision, or an RNG draw.  This file holds that claim to account:
 * impaired channels must never fold, deterministically;
 * mid-run crashes — a switch failing inside its forwarding window, a
   PMNet device power-cut at swept instants across the request's
-  pipeline windows (the Fig 12 scenarios), a client host dying with a
-  folded send in flight — must leave every observable identical,
-  because folded sends committed before a crash are revoked back to
-  their unfolded fire-time checks; and
+  pipeline windows (the Fig 12 scenarios), a client host dying — or
+  dying *and* rebooting — with a send inside its stack — must leave
+  every observable identical.  A switch's folded sends committed before
+  its crash are revoked back to their unfolded fire-time checks; host
+  stack crossings never fold, so each is its own event whose
+  ``_transmit``/``_deliver`` epoch check drops a frame that was inside
+  the stack when the host crashed; and
 * a full experiment (including the impaired fig07 loss scenarios) must
   format byte-identically in both modes.
 """
@@ -33,7 +36,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import NetworkProfile, SystemConfig
-from repro.experiments.deploy import build_pmnet_switch
+from repro.experiments.deploy import DeploymentSpec, build, build_pmnet_switch
 from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.driver import run_closed_loop
 from repro.failure.injector import FailureInjector
@@ -300,6 +303,52 @@ def _device_crash_run(crash_offset_ns, no_fold):
             sim.now)
 
 
+def _client_reboot_run(level, fail_offset_ns, recover_offset_ns):
+    """One client, one update; the client host crashes *and* reboots
+    inside the stack-send window of the request it just sent.
+
+    Offsets are relative to the send instant (t=0), both well inside
+    the client stack's ~10 us send cost.  Returns what reached the ToR
+    by 50 us (nothing may: the frame died in the stack), how the request
+    finally completed, the store contents, a digest of the full trace
+    and the drained-queue end time.
+    """
+    from repro.protocol.packet import reset_request_ids
+
+    reset_request_ids()
+    with _fold_level(level):
+        cfg = SystemConfig(seed=3).with_clients(1)
+        tracer = Tracer(enabled=True)
+        handler = StructureHandler(PMHashmap())
+        deployment = build(DeploymentSpec(placement="switch"), cfg,
+                           handler=handler, tracer=tracer)
+    sim = deployment.sim
+    client = deployment.clients[0]
+    host = client.host
+    uplink = host.nic_port.channel
+    sim.schedule_at(fail_offset_ns, host.fail)
+    sim.schedule_at(recover_offset_ns, host.recover)
+    early = []
+    sim.schedule_at(microseconds(50),
+                    lambda: early.append(int(uplink.delivered)))
+    outcome = []
+
+    def client_proc():
+        completion = yield client.send_update(
+            Operation(OpKind.SET, key="k", value="v"))
+        outcome.append((sim.now, completion.via, completion.retransmissions,
+                        completion.result.ok))
+
+    deployment.open_all_sessions()
+    process = sim.spawn(client_proc(), "client")
+    sim.run()
+    assert not process.alive, "client never finished"
+    digest = hashlib.sha256("\n".join(str(r) for r in tracer.records)
+                            .encode("utf-8")).hexdigest()
+    return (tuple(early), tuple(outcome),
+            tuple(sorted(handler.structure.items())), digest, sim.now)
+
+
 class TestCrashIdentity:
     """Fold on == fold off even when nodes die with folds in flight."""
 
@@ -332,6 +381,23 @@ class TestCrashIdentity:
         folded = _device_crash_run(crash_offset_ns, no_fold=False)
         unfolded = _device_crash_run(crash_offset_ns, no_fold=True)
         assert folded == unfolded
+
+    @pytest.mark.parametrize("fail_at,recover_at", [
+        (500, 1_000),    # crash and reboot early in the send window
+        (1, 2),          # crash just after the send, reboot a tick later
+        (3_000, 4_000),  # both mid-window
+    ])
+    def test_client_crash_and_reboot_inside_one_send_window(
+            self, fail_at, recover_at):
+        runs = {level: _client_reboot_run(level, fail_at, recover_at)
+                for level in FOLD_LEVELS}
+        # The frame was inside the stack when the host crashed: it must
+        # die there on every fold level, so nothing reaches the ToR
+        # before the retransmission timeout resends the request.
+        assert runs["none"][0] == (0,)
+        assert runs["none"][1][0][2] == 1  # one timeout retransmission
+        assert runs["stage"] == runs["none"]
+        assert runs["whole"] == runs["none"]
 
     def test_client_crash_scenario_identical(self):
         with _fold_mode(no_fold=False):

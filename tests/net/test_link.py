@@ -269,7 +269,8 @@ class TestReservations:
         sim = Simulator()
         a, b, _link = _pair(sim, _fast_profile())
         channel = a.ports[0].channel
-        assert channel.send_in(500, Frame("a", "b", None, 1250)) is True
+        assert channel.send_in(500, Frame("a", "b", None, 1250),
+                               channel.send) is True
         sim.run()
         # pre 500 + serialize 1000 + propagation 100, one executed event.
         assert b.arrivals[0][0] == 1600
@@ -279,17 +280,21 @@ class TestReservations:
         sim = Simulator()
         a, _b, _link = _pair(sim, _fast_profile())
         channel = a.ports[0].channel
-        assert channel.send_in(500, Frame("a", "b", None, 1250)) is True
+        assert channel.send_in(500, Frame("a", "b", None, 1250),
+                               channel.send) is True
         # Serialization occupies [500, 1500): a 200 ns lead cannot fit.
-        assert channel.send_in(200, Frame("a", "b", None, 1250)) is False
+        assert channel.send_in(200, Frame("a", "b", None, 1250),
+                               channel.send) is False
 
     def test_stacked_reservations_serialize_exactly(self):
         sim = Simulator()
         a, b, _link = _pair(sim, _fast_profile())
         channel = a.ports[0].channel
-        assert channel.send_in(500, Frame("a", "b", None, 1250)) is True
+        assert channel.send_in(500, Frame("a", "b", None, 1250),
+                               channel.send) is True
         # A longer lead clears the first reservation's busy window.
-        assert channel.send_in(1_700, Frame("a", "b", None, 1250)) is True
+        assert channel.send_in(1_700, Frame("a", "b", None, 1250),
+                               channel.send) is True
         sim.run()
         assert [t for t, _f in b.arrivals] == [1600, 2800]
 
@@ -299,7 +304,7 @@ class TestReservations:
         channel = a.ports[0].channel
         reserved = Frame("a", "b", "reserved", 1250)
         plain = Frame("a", "b", "plain", 1250)
-        channel.send_in(500, reserved)
+        channel.send_in(500, reserved, channel.send)
         # A competing send lands inside the pre-delay gap: on the
         # unfolded timeline the transmitter is idle at t=100, so the
         # plain frame must go first and the reserved one re-send at its
@@ -318,7 +323,7 @@ class TestReservations:
         channel = a.ports[0].channel
         reserved = Frame("a", "b", "reserved", 1250)
         plain = Frame("a", "b", "plain", 1250)
-        channel.send_in(500, reserved)
+        channel.send_in(500, reserved, channel.send)
         # The competing send arrives after serialization began at t=500:
         # the reservation is already on the wire and keeps its slot.
         sim.schedule(700, channel.send, plain)
@@ -354,8 +359,9 @@ class TestReservations:
         profile = NetworkProfile(bandwidth_bps=10e9, propagation_ns=0,
                                  header_overhead_bytes=0)
         a, b, link = _pair(sim, profile)
-        assert a.ports[0].channel.send_in(500, Frame("a", "b", None, 1250)) \
-            is False
+        channel = a.ports[0].channel
+        assert channel.send_in(500, Frame("a", "b", None, 1250),
+                               channel.send) is False
         a.ports[0].transmit(Frame("a", "b", None, 1250))
         sim.run()
         assert int(link.forward.folded_sends) == 0
@@ -368,7 +374,7 @@ class TestReservations:
             reserved = Frame("a", "b", "reserved", 1250)
             plain = Frame("a", "b", "plain", 1250)
             if fold:
-                assert channel.send_in(500, reserved) is True
+                assert channel.send_in(500, reserved, channel.send) is True
             else:
                 sim.schedule(500, channel.send, reserved)
             sim.schedule(100, channel.send, plain)
