@@ -60,8 +60,7 @@ def _run_write_log() -> int:
 
 
 def test_calls_per_request_within_budget(capsys, monkeypatch):
-    for knob in ("PMNET_FOLD", "PMNET_NO_FOLD", "PMNET_KERNEL",
-                 "PMNET_KERNEL_HORIZON"):
+    for knob in ("PMNET_FOLD", "PMNET_KERNEL", "PMNET_KERNEL_HORIZON"):
         monkeypatch.delenv(knob, raising=False)
     profiler = cProfile.Profile()
     profiler.enable()

@@ -1,25 +1,18 @@
-"""End-to-end requests/CPU-second floor: compiled vs tiered, for real.
+"""End-to-end requests/CPU-second across the scheduler backends.
 
-The kernel microbenchmark guards the compiled backend's structural
-speedup (≥1.15× tiered on the mixed queue shape, best adjacent pair).
-This benchmark guards what is left of it once the whole model runs:
-the aggregate loadgen + chaos request rate per CPU-second, measured in
-adjacent backend groups (:mod:`repro.experiments.e2e_bench`).
+The kernel microbenchmark guards the tiered scheduler's structural
+speedup over the heap (``test_kernel_events.py``, where the queue is
+the whole workload).  This benchmark reports what is left of it once
+the whole model runs: the aggregate loadgen + chaos request rate per
+CPU-second, measured in adjacent heap/tiered groups
+(:mod:`repro.experiments.e2e_bench`).
 
-Two things are held:
-
-* **identity** — every leg's digest and event count must be
-  bit-identical across backends.  ``run_e2e_benchmark`` raises
-  :class:`~repro.experiments.e2e_bench.BackendDivergence` otherwise,
-  so merely completing is the assertion.
-* **floor** — the best-group compiled/tiered ratio must stay ≥0.95.
-  The e2e rate is model-dominated (the queue is a fraction of the
-  CPU time), so the measured gain is single-digit percent (best
-  groups on the reference container: ~1.05-1.25×) and host noise on a
-  shared 1-vCPU box swings individual groups by ±10 %; the parity-
-  with-headroom floor trips when the compiled backend actually loses
-  end-to-end, never on noise.  The ≥1.15× structural bar lives in
-  ``test_kernel_events.py`` where the queue is the whole workload.
+What is held is **identity**: every leg's digest and event count must
+be bit-identical across backends.  ``run_e2e_benchmark`` raises
+:class:`~repro.experiments.e2e_bench.BackendDivergence` otherwise, so
+merely completing is the assertion.  The e2e rate is model-dominated
+(the queue is a fraction of the CPU time) and host noise on a shared
+box swings individual groups by ±10 %, so no rate floor is set here.
 
 Run with:  pytest benchmarks/test_e2e_requests.py --benchmark-only -s
 """
@@ -28,12 +21,7 @@ from __future__ import annotations
 
 from repro.experiments.e2e_bench import format_result, run_e2e_benchmark
 
-#: Best-group compiled/tiered aggregate-rate floor (see module
-#: docstring for why this is parity-with-headroom, not the kernel bar).
-MIN_COMPILED_E2E_SPEEDUP = 0.95
-
-#: Groups to measure; the floor only needs one group to land inside a
-#: quiet machine-speed phase.
+#: Adjacent heap/tiered groups to measure.
 _REPEATS = 3
 
 #: One chaos plan per group keeps the benchmark under a minute; the
@@ -42,18 +30,14 @@ _CHAOS_SEEDS = (1,)
 
 
 class TestE2ERequests:
-    def test_compiled_holds_the_e2e_floor(self, capsys):
+    def test_backends_agree_end_to_end(self, capsys):
         result = run_e2e_benchmark(repeats=_REPEATS,
                                    chaos_seeds=_CHAOS_SEEDS)
         with capsys.disabled():
             print(f"\n{format_result(result)}\n")
         assert result["digests_identical"]
-        assert result["speedup_compiled_best"] >= MIN_COMPILED_E2E_SPEEDUP, (
-            f"compiled backend lost to tiered end-to-end: best group "
-            f"{result['speedup_compiled_best']:.3f} < "
-            f"{MIN_COMPILED_E2E_SPEEDUP} (groups: "
-            f"{[round(p, 3) for p in result['pairwise_compiled_speedups']]})")
+        assert result["backends"] == ["heap", "tiered"]
         # The report records an absolute rate for every backend — the
         # envelope consumers (CI smoke, BENCH_e2e.json) rely on these.
-        for backend in ("heap", "tiered", "compiled"):
+        for backend in ("heap", "tiered"):
             assert max(result["all_requests_per_cpu_second"][backend]) > 0

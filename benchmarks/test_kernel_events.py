@@ -2,22 +2,20 @@
 
 Unlike the figure benchmarks, this one measures the simulator itself:
 how many scheduled callbacks the kernel executes per second with no
-model attached, across the three queue shapes and all three scheduler
-backends (``PMNET_KERNEL=heap|tiered|compiled``).
+model attached, across the three queue shapes and both scheduler
+backends (``PMNET_KERNEL=heap|tiered``).
 
 Two kinds of floor are guarded:
 
 * an **absolute** sanity floor (100k events/sec) that trips only on a
   genuine hot-path catastrophe, never on machine noise, and
-* **relative** floors — tiered versus the heap reference and compiled
-  versus tiered, measured in the same process as the **best** adjacent
-  pairwise ratio (see :mod:`repro.sim.benchmark` for why pairing is
+* **relative** floors — tiered versus the heap reference, measured in
+  the same process as the **best** adjacent pairwise ratio (see :mod:`repro.sim.benchmark` for why pairing is
   the only stable statistic on shared hosts; host disturbance can only
   drag a pair's ratio toward noise, so the least-disturbed pair is the
-  cleanest view of the structural speedup).  The headline requirements
-  are tiered ≥1.25× heap and compiled ≥1.15× tiered, both on the mixed
-  shape; the other shapes guard against either backend regressing
-  anywhere.
+  cleanest view of the structural speedup).  The headline requirement
+  is tiered ≥1.25× heap on the mixed shape; the other shapes guard
+  against the tiered backend regressing anywhere.
 
 Run with:  pytest benchmarks/test_kernel_events.py --benchmark-only -s
 """
@@ -38,7 +36,7 @@ MIN_EVENTS_PER_SECOND = 100_000
 #: a run fits inside one machine-speed phase.
 _COMPARE_EVENTS = 100_000
 
-#: Adjacent heap/tiered/compiled groups per shape; with 5 groups the
+#: Adjacent heap/tiered groups per shape; with 5 groups the
 #: floors only need one to land inside a quiet machine-speed phase.
 _COMPARE_REPEATS = 5
 
@@ -52,18 +50,6 @@ _COMPARE_REPEATS = 5
 MIN_SPEEDUP = {
     "mixed": 1.25,
     "same_instant": 1.1,
-    "cancel_heavy": 0.95,
-}
-
-#: Relative floors for the compiled backend (best pairwise
-#: compiled/tiered ratio).  Mixed is the acceptance bar from the
-#: exec-specialization work (measured ~1.3-1.45× on the reference
-#: container); the other shapes are parity guards — the generated loop
-#: shares the tier structures, so it must never *lose* to the
-#: interpreter-dispatched drain, with headroom for noise.
-MIN_COMPILED_SPEEDUP = {
-    "mixed": 1.15,
-    "same_instant": 0.95,
     "cancel_heavy": 0.95,
 }
 
@@ -86,16 +72,9 @@ class TestKernelEvents:
             f"best pairwise speedup {comparison['speedup_best']:.3f} < {floor} "
             f"(median {comparison['speedup']:.3f}, pairs: "
             f"{[round(p, 3) for p in comparison['pairwise_speedups']]})")
-        compiled_floor = MIN_COMPILED_SPEEDUP[shape]
-        assert comparison["speedup_compiled_best"] >= compiled_floor, (
-            f"compiled backend below its floor on the {shape!r} shape: "
-            f"best pairwise speedup "
-            f"{comparison['speedup_compiled_best']:.3f} < {compiled_floor} "
-            f"(median {comparison['speedup_compiled']:.3f}, pairs: "
-            f"{[round(p, 3) for p in comparison['pairwise_compiled_speedups']]})")
 
     def test_all_backends_clear_absolute_floor(self):
-        for kernel in ("heap", "tiered", "compiled"):
+        for kernel in ("heap", "tiered"):
             result = run_once(num_events=100_000, kernel=kernel)
             assert result["backend"] == kernel
             assert result["events_per_second"] >= MIN_EVENTS_PER_SECOND, (

@@ -1,14 +1,14 @@
 """Events/request benchmark: the latency-folded path scorecard.
 
-Runs the Fig 16 stress shape at every fold level and holds the folded
+Runs the Fig 16 stress shape at both fold levels and holds the folded
 paths to their contract:
 
-* **floor guard** — the whole-request fold must need at most 70 % of
-  the unfolded run's events per request, and at least 5 % fewer Python
-  calls per request than the stage fold (the whole-request extension
-  must pay for its own bookkeeping).  Event and call counts are
-  deterministic, so these never trip on machine noise; they trip when
-  someone un-folds a path or adds a fold that costs more than it saves.
+* **floor guard** — the folded run must need at most 70 % of the
+  unfolded run's events per request, and at least 15 % fewer Python
+  calls per request (folding must pay for its own bookkeeping).  Event
+  and call counts are deterministic, so these never trip on machine
+  noise; they trip when someone un-folds a path or adds a fold that
+  costs more than it saves.
 * **identity** — every per-request latency must match across levels.
 * **loadgen floor** — the flow-level generator leg models >= 10^4
   closed-loop users and the whole fold holds its per-request event
@@ -31,13 +31,13 @@ from repro.experiments.pipeline_bench import (LOADGEN_MIN_USERS,
 #: fold tiers were built to beat.
 MAX_EVENT_RATIO = 0.70
 
-#: Whole-fold calls into ``src/repro`` per request, below the stage
-#: fold's: the whole-request extension must save at least this share
-#: of the stage fold's calls (measured: 7.0 % with spans off, 6.8 %
-#: with spans on).  Calls, not events: a fold that removes an event
-#: but costs more bookkeeping than the event did lowers the event count
-#: while raising the real cost, and only calls see both sides.
-MIN_WHOLE_VS_STAGE_CALL_REDUCTION = 0.05
+#: Whole-fold calls into ``src/repro`` per request, below the unfolded
+#: run's: folding must save at least this share of the unfolded calls
+#: (measured: 20.7 %, 344.9 vs 435.1 calls/request).  Calls, not
+#: events: a fold that removes an event but costs more bookkeeping than
+#: the event did lowers the event count while raising the real cost,
+#: and only calls see both sides.
+MIN_WHOLE_VS_NONE_CALL_REDUCTION = 0.15
 
 #: Events/request ceiling for the >= 10^4-user loadgen leg (measured:
 #: ~26 on the reference container).
@@ -54,13 +54,13 @@ def _assert_contract(result):
         problems.append(
             f"whole fold spends {whole:.2f} events/request vs {off:.2f} "
             f"unfolded — ratio {whole / off:.2f} exceeds {MAX_EVENT_RATIO}")
-    reduction = result["whole_vs_stage_call_reduction"]
-    if reduction < MIN_WHOLE_VS_STAGE_CALL_REDUCTION:
+    reduction = result["calls_per_request_reduction"]
+    if reduction < MIN_WHOLE_VS_NONE_CALL_REDUCTION:
         problems.append(
             f"whole fold spends {result['fold']['calls_per_request']:.1f} "
-            f"calls/request vs {result['stage']['calls_per_request']:.1f} "
-            f"stage-folded — only {reduction:.1%} fewer, needs >= "
-            f"{MIN_WHOLE_VS_STAGE_CALL_REDUCTION:.0%}")
+            f"calls/request vs {result['no_fold']['calls_per_request']:.1f} "
+            f"unfolded — only {reduction:.1%} fewer, needs >= "
+            f"{MIN_WHOLE_VS_NONE_CALL_REDUCTION:.0%}")
     loadgen = result["loadgen"]
     if loadgen["modeled_users"] < LOADGEN_MIN_USERS:
         problems.append(f"loadgen leg models {loadgen['modeled_users']:,} "

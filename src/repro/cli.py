@@ -533,11 +533,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                             help="report path (default BENCH_pipeline.json)")
     bench_e2e = sub.add_parser(
         "bench-e2e",
-        help="measure end-to-end requests/CPU-second on every scheduler "
-             "backend (loadgen + chaos legs, digests must match), write "
+        help="measure end-to-end requests/CPU-second on both scheduler "
+             "backends (loadgen + chaos legs, digests must match), write "
              "BENCH_e2e.json")
     bench_e2e.add_argument("--repeats", type=int, default=3,
-                           help="adjacent heap/tiered/compiled groups "
+                           help="adjacent heap/tiered groups "
                                 "(default 3)")
     bench_e2e.add_argument("--seed", type=int, default=42,
                            help="loadgen deployment seed (default 42)")
@@ -559,7 +559,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                                 help="profile the unfolded paths instead "
                                      "(same as --fold none)")
     profile_parser.add_argument("--fold", default=None,
-                                choices=("none", "stage", "whole"),
+                                choices=("none", "whole"),
                                 help="fold level to profile "
                                      "(default: whole)")
     profile_parser.add_argument("--top", type=int, default=15,

@@ -29,54 +29,44 @@ from repro.sim.clock import microseconds, nanoseconds
 
 #: ``PMNET_FOLD`` spellings accepted per fold level.
 _FOLD_LEVELS = {"none": 0, "off": 0, "0": 0,
-                "stage": 1, "1": 1,
                 "whole": 2, "2": 2}
 
 
 def fold_level() -> int:
-    """The active folding level (0, 1, or 2).
+    """The active folding level (0 or 2).
 
-    * **0** — every stage is its own scheduled event (``PMNET_NO_FOLD=1``
-      or ``PMNET_FOLD=none``).
-    * **1** — stage folding: unimpaired channels and the PMNet MAT
-      pipeline fold consecutive deterministic delays into single
-      scheduled events (``PMNET_FOLD=stage``).
-    * **2** — whole-request folding (the default): on top of stage
-      folding, uncontended request legs extend across component
-      boundaries — channel arrival chains run straight into the device
-      pipeline, elided timeout timers, and inline completion dispatch
-      (``PMNET_FOLD=whole``).
+    * **0** — every stage is its own scheduled event
+      (``PMNET_FOLD=none``): the unfolded reference timeline.
+    * **2** — latency folding (the default, ``PMNET_FOLD=whole``):
+      unimpaired channels and the PMNet MAT pipeline fold consecutive
+      deterministic delays into single scheduled events, and
+      uncontended request legs extend across component boundaries —
+      channel arrival chains run straight into the device pipeline,
+      elided timeout timers, and inline completion dispatch.
 
-    Every level produces byte-identical results (same virtual times,
+    Both levels produce byte-identical results (same virtual times,
     same RNG draws, same tie-breaks); only the executed-event count
     changes.  ``tests/integration/test_fold_identity`` holds that claim
     to account.  Read at component construction time: toggling the
-    variables affects deployments built afterwards, not ones already
+    variable affects deployments built afterwards, not ones already
     wired.
     """
-    if os.environ.get("PMNET_NO_FOLD", "0") not in ("", "0"):
-        return 0
     name = os.environ.get("PMNET_FOLD", "whole").strip().lower()
     try:
         return _FOLD_LEVELS[name]
     except KeyError:
         raise ConfigurationError(
-            f"PMNET_FOLD must be one of {sorted(set(_FOLD_LEVELS))}, "
+            f"PMNET_FOLD must be one of {sorted(_FOLD_LEVELS)}, "
             f"got {name!r}") from None
 
 
 def folding_enabled() -> bool:
-    """Whether the stage-level latency-folded fast paths are active."""
-    return fold_level() >= 1
-
-
-def whole_request_folding_enabled() -> bool:
-    """Whether the cross-component whole-request folds are active."""
-    return fold_level() >= 2
+    """Whether the latency-folded fast paths are active."""
+    return fold_level() != 0
 
 
 #: ``PMNET_KERNEL`` spellings accepted per scheduler backend.
-_KERNEL_BACKENDS = ("heap", "tiered", "compiled")
+_KERNEL_BACKENDS = ("heap", "tiered")
 
 
 def kernel_backend() -> str:
@@ -89,10 +79,6 @@ def kernel_backend() -> str:
       timers within the near horizon, and the binary heap as the far
       tier.  Executes byte-identically to ``heap`` (same ``(time, seq)``
       total order, same ``executed_events``); only wall-clock changes.
-    * ``compiled`` — hook point for a compiled (mypyc/Cython) backend:
-      resolves to ``repro.sim.compiled`` when that module is available
-      and falls back to ``tiered`` with a warning otherwise, so the
-      knob is always safe to set.
 
     Read at :class:`~repro.sim.kernel.Simulator` construction time:
     toggling the variable affects simulators built afterwards, not ones

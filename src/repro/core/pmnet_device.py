@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.config import folding_enabled, whole_request_folding_enabled
+from repro.config import folding_enabled
 from repro.core.cache import ReadCache
 from repro.core.mat import MATAction, classify, pmnet_packet
 from repro.core.recovery import ResendEngine
@@ -83,7 +83,6 @@ class PMNetDevice(Node):
         self.redo_resends = Counter(f"{name}.redo_resends")
         self.folded_stages = Counter(f"{name}.folded_stages")
         self._fold = folding_enabled()
-        self._whole = whole_request_folding_enabled()
         self._scrub_armed = False
         register_with_sim(sim, self)
 
@@ -146,7 +145,7 @@ class PMNetDevice(Node):
         the deterministic head of this device's pipeline.
 
         Classification is pure (it reads only the frame), so it can run
-        at reservation time just as the stage-folded path runs it at
+        at reservation time just as the folded :meth:`handle_frame` runs it at
         arrival time.  Two actions extend — their interior hops mutate
         nothing, every side effect lives in the barrier:
 
@@ -158,13 +157,13 @@ class PMNetDevice(Node):
         Everything else — notably the cache read path, whose lookup
         outcome steers mid-pipeline branching — stays on the per-stage
         paths, so a cache-capable request never whole-request folds.
-        The barriers re-check ``failed``, matching the stage-folded
+        The barriers re-check ``failed``, matching the folded pipeline's
         interior checks; a crash inside the window drops the frame on
         both timelines.  Both actions carry a PMNet packet, so the
         channel's ``(frame, frame.payload)`` barrier args are exactly
         ``(frame, pmnet_packet(frame))``.
         """
-        if not self._whole:
+        if not self._fold:
             return None
         action = classify(frame)
         if action is MATAction.LOG_AND_FORWARD:

@@ -3,13 +3,30 @@
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Dict, Optional
+from typing import Dict, Iterator, Optional
 
 from repro.config import QUICK_SCALE_CLIENTS, SystemConfig
 from repro.experiments.deploy import DeploymentSpec, build
 from repro.experiments.driver import OpMaker, RunStats, run_closed_loop
 from repro.host.handler import RequestHandler
+
+
+@contextmanager
+def pinned_env(name: str, value: str) -> Iterator[None]:
+    """Set the environment variable ``name`` for the block, then restore
+    it.  Components read their ``PMNET_*`` knobs when they are built, so
+    pinning a knob around construction is the only hook."""
+    previous = os.environ.get(name)
+    os.environ[name] = value
+    try:
+        yield
+    finally:
+        if previous is None:
+            os.environ.pop(name, None)
+        else:
+            os.environ[name] = previous
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 The kernel microbenchmark (:mod:`repro.sim.benchmark`) isolates the
 event queue; this one answers the question users actually have: how
 many *requests* does the full model push through per CPU-second, and
-how much of the compiled backend's hot-path win survives once the PM
+how much of the tiered scheduler's hot-path win survives once the PM
 model, the protocol stack, and the folding pipeline are doing real work
 around it.
 
@@ -16,34 +16,31 @@ Two legs per backend, both deterministic:
   whose deployments, workloads, and fault schedules derive from the
   seed alone.
 
-Each repeat runs all three backends back to back (one machine-speed
-phase — see :mod:`repro.sim.benchmark` for why only adjacent runs are
-comparable on shared hosts) and yields one pairwise ratio per
-comparison: tiered/heap and compiled/tiered, on the aggregate
-requests-per-CPU-second of the group's legs.  The reported ``speedup_*``
-is the median, ``speedup_*_best`` the least-disturbed group — the floor
-statistic.
+Each repeat runs both backends back to back (one machine-speed phase —
+see :mod:`repro.sim.benchmark` for why only adjacent runs are
+comparable on shared hosts) and yields one tiered/heap ratio on the
+aggregate requests-per-CPU-second of the group's legs.  The reported
+``speedup_tiered`` is the median, ``speedup_tiered_best`` the
+least-disturbed group.
 
 Identity is enforced, not sampled: every leg's digest (the loadgen
 latency digest, the chaos trace digest) must be bit-identical across
-the three backends, otherwise :class:`BackendDivergence` is raised and
+the backends, otherwise :class:`BackendDivergence` is raised and
 no report is written — a faster backend that computes a different
 simulation is worthless.
 
 Two entry points use this module: ``pmnet-repro bench-e2e`` (writes
-``BENCH_e2e.json``) and ``benchmarks/test_e2e_requests.py`` (guards the
-compiled ≥ tiered floor on the aggregate rate).
+``BENCH_e2e.json``) and ``benchmarks/test_e2e_requests.py`` (checks the
+report shape and cross-backend identity).
 """
 
 from __future__ import annotations
 
-import os
 import time
-from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence
 
 from repro.config import SystemConfig
-from repro.experiments.common import Scale
+from repro.experiments.common import Scale, pinned_env
 from repro.experiments.deploy import DeploymentSpec, build
 from repro.failure.chaos import generate_plan, run_plan
 from repro.net.packet import reset_frame_ids
@@ -55,7 +52,7 @@ BENCH_RESULT_FILE = "BENCH_e2e.json"
 
 #: The scheduler backends every leg is measured against, in the order
 #: they run inside a group (alternated per repeat to cancel drift).
-E2E_BACKENDS = ("heap", "tiered", "compiled")
+E2E_BACKENDS = ("heap", "tiered")
 
 #: The loadgen leg: the quick closed-loop point — think-time users
 #: against the switch, a fixed completed-request budget.
@@ -70,21 +67,6 @@ CHAOS_SEEDS = (1, 2)
 
 class BackendDivergence(RuntimeError):
     """Two backends produced different simulations for the same leg."""
-
-
-@contextmanager
-def _pinned_kernel(backend: str):
-    """Pin ``PMNET_KERNEL`` for one leg (deployments build their own
-    simulator, so the env switch is the only hook)."""
-    previous = os.environ.get("PMNET_KERNEL")
-    os.environ["PMNET_KERNEL"] = backend
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("PMNET_KERNEL", None)
-        else:
-            os.environ["PMNET_KERNEL"] = previous
 
 
 def _leg(name: str, backend: str, requests: int, digest: str,
@@ -106,7 +88,7 @@ def _loadgen_leg(backend: str, seed: int) -> Dict[str, object]:
     (not deployment construction) is timed."""
     reset_request_ids()
     reset_frame_ids()
-    with _pinned_kernel(backend):
+    with pinned_env("PMNET_KERNEL", backend):
         scale = Scale.exact(True)
         config = SystemConfig(seed=seed).with_clients(
             scale.clients).with_payload(LOADGEN_POINT.payload_bytes)
@@ -127,7 +109,7 @@ def _loadgen_leg(backend: str, seed: int) -> Dict[str, object]:
 def _chaos_leg(backend: str, seed: int) -> Dict[str, object]:
     """One full chaos plan on ``backend`` (``run_plan`` derives the
     deployment and resets the id counters itself)."""
-    with _pinned_kernel(backend):
+    with pinned_env("PMNET_KERNEL", backend):
         plan = generate_plan(seed)
         wall_started = time.perf_counter()
         cpu_started = time.process_time()
@@ -167,7 +149,7 @@ def _median(sorted_values: List[float]) -> float:
 def run_e2e_benchmark(repeats: int = 3, seed: int = 42,
                       chaos_seeds: Sequence[int] = CHAOS_SEEDS
                       ) -> Dict[str, object]:
-    """Measure the end-to-end request rate on all three backends.
+    """Measure the end-to-end request rate on both backends.
 
     Raises :class:`BackendDivergence` if any leg's digest or event
     count differs between backends — identity is the precondition for
@@ -178,7 +160,6 @@ def run_e2e_benchmark(repeats: int = 3, seed: int = 42,
     rates: Dict[str, List[float]] = {b: [] for b in E2E_BACKENDS}
     groups: List[Dict[str, object]] = []
     pairwise_tiered: List[float] = []
-    pairwise_compiled: List[float] = []
     digests: Dict[str, str] = {}
     for index in range(repeats):
         order = E2E_BACKENDS if index % 2 == 0 else E2E_BACKENDS[::-1]
@@ -198,13 +179,9 @@ def run_e2e_benchmark(repeats: int = 3, seed: int = 42,
         tiered_rate = group["tiered"]["requests_per_cpu_second"]
         if heap_rate > 0:
             pairwise_tiered.append(tiered_rate / heap_rate)
-        if tiered_rate > 0:
-            pairwise_compiled.append(
-                group["compiled"]["requests_per_cpu_second"] / tiered_rate)
         for leg in legs_by_backend[E2E_BACKENDS[0]]:
             digests[leg["leg"]] = leg["digest"]
     pairwise_tiered.sort()
-    pairwise_compiled.sort()
     return {
         "benchmark": "e2e_requests",
         "backends": list(E2E_BACKENDS),
@@ -212,16 +189,11 @@ def run_e2e_benchmark(repeats: int = 3, seed: int = 42,
         "seed": seed,
         "chaos_seeds": list(chaos_seeds),
         "loadgen": LOADGEN_POINT.to_params(),
-        "requests_per_cpu_second": max(rates["compiled"]),
-        "tiered_requests_per_cpu_second": max(rates["tiered"]),
+        "requests_per_cpu_second": max(rates["tiered"]),
         "baseline_requests_per_cpu_second": max(rates["heap"]),
         "speedup_tiered": _median(pairwise_tiered),
         "speedup_tiered_best": pairwise_tiered[-1] if pairwise_tiered else 0.0,
         "pairwise_tiered_speedups": pairwise_tiered,
-        "speedup_compiled": _median(pairwise_compiled),
-        "speedup_compiled_best": (pairwise_compiled[-1]
-                                  if pairwise_compiled else 0.0),
-        "pairwise_compiled_speedups": pairwise_compiled,
         "digests": digests,
         "digests_identical": True,  # _check_digests raises otherwise
         "all_requests_per_cpu_second": rates,
@@ -240,10 +212,8 @@ def write_result(result: Dict[str, object],
 
 def format_result(result: Dict[str, object]) -> str:
     lines = [
-        (f"e2e requests/CPU-sec (loadgen + chaos, compiled): "
-         f"{result['requests_per_cpu_second']:,.0f} — compiled/tiered "
-         f"{result['speedup_compiled']:.2f}x median / "
-         f"{result['speedup_compiled_best']:.2f}x best group, tiered/heap "
+        (f"e2e requests/CPU-sec (loadgen + chaos, tiered): "
+         f"{result['requests_per_cpu_second']:,.0f} — tiered/heap "
          f"{result['speedup_tiered']:.2f}x median / "
          f"{result['speedup_tiered_best']:.2f}x best group "
          f"({result['repeats']} adjacent groups, digests identical)"),

@@ -1,19 +1,19 @@
 """End-to-end pipeline benchmark: events/request across fold levels.
 
 Runs the Fig 16 stress shape (many closed-loop clients hammering the
-PMNet-switch deployment with 1000 B updates) at every fold level
-(``none``, ``stage``, ``whole``) in one process, with an
+PMNet-switch deployment with 1000 B updates) at both fold levels
+(``none``, ``whole``) in one process, with an
 :class:`~repro.sim.profiler.EventProfiler` attached to each run.  The
 result captures the whole point of the folded paths in a few numbers:
 
-* **events/request** at each level (each fold removes scheduled hops),
+* **events/request** at each level (folding removes scheduled hops),
 * **calls/request** at each level — Python calls into ``src/repro``
   during the run, counted by ``cProfile`` in a separate pass so the
   wall clock stays unprofiled; unlike events, calls price what a fold
   costs as well as what it saves, and they are as deterministic,
 * **requests/sec of wall clock** at each level,
 * **latencies_identical** — every per-request latency sample must be
-  byte-identical across all levels, the folding correctness bar, and
+  byte-identical across the levels, the folding correctness bar, and
 * **loadgen** — a flow-level closed-loop run with >= 10^4 modeled users
   proving the whole-request fold holds its event budget at user scale.
 
@@ -32,6 +32,7 @@ from typing import Dict, Optional
 
 import repro
 from repro.config import SystemConfig
+from repro.experiments.common import pinned_env
 from repro.experiments.deploy import DeploymentSpec, build
 from repro.experiments.driver import run_closed_loop
 from repro.sim.profiler import EventProfiler
@@ -42,8 +43,8 @@ BENCH_RESULT_FILE = "BENCH_pipeline.json"
 
 PAYLOAD = 1000
 
-#: The three fold levels, in ascending order of aggressiveness.
-FOLD_MODES = ("none", "stage", "whole")
+#: The fold levels: the unfolded reference, then the default.
+FOLD_MODES = ("none", "whole")
 
 #: The loadgen leg must model at least this many users in one run.
 LOADGEN_MIN_USERS = 10_000
@@ -62,7 +63,7 @@ def _package_calls(profile: cProfile.Profile) -> int:
 def _run_mode(fold: str, clients: int, requests_per_client: int,
               seed: int, spans: bool = False,
               count_calls: bool = False) -> Dict[str, object]:
-    """One measured run at fold level ``fold`` ("none"/"stage"/"whole");
+    """One measured run at fold level ``fold`` ("none"/"whole");
     the level is toggled via the same ``PMNET_FOLD`` environment switch
     users have (read at deployment construction time).
 
@@ -77,23 +78,12 @@ def _run_mode(fold: str, clients: int, requests_per_client: int,
 
     if fold not in FOLD_MODES:
         raise ValueError(f"fold must be one of {FOLD_MODES}, got {fold!r}")
-    previous = os.environ.get("PMNET_FOLD")
-    previous_no_fold = os.environ.get("PMNET_NO_FOLD")
-    try:
-        os.environ.pop("PMNET_NO_FOLD", None)
-        os.environ["PMNET_FOLD"] = fold
+    with pinned_env("PMNET_FOLD", fold):
         config = SystemConfig(seed=seed).with_clients(clients).with_payload(
             PAYLOAD)
         obs = Observability(spans=True) if spans else None
         deployment = build(DeploymentSpec(placement="switch"), config,
                            obs=obs)
-    finally:
-        if previous is None:
-            os.environ.pop("PMNET_FOLD", None)
-        else:
-            os.environ["PMNET_FOLD"] = previous
-        if previous_no_fold is not None:
-            os.environ["PMNET_NO_FOLD"] = previous_no_fold
 
     profiler = EventProfiler()
     deployment.sim.attach_profiler(profiler)
@@ -155,20 +145,9 @@ def _run_loadgen_floor(seed: int) -> Dict[str, object]:
     flow-level generator, profiled under whole-request folding."""
     from repro.workloads.loadgen import LoadGenConfig, run_loadgen
 
-    previous = os.environ.get("PMNET_FOLD")
-    previous_no_fold = os.environ.get("PMNET_NO_FOLD")
-    try:
-        os.environ.pop("PMNET_NO_FOLD", None)
-        os.environ["PMNET_FOLD"] = "whole"
+    with pinned_env("PMNET_FOLD", "whole"):
         config = SystemConfig(seed=seed).with_payload(PAYLOAD)
         deployment = build(DeploymentSpec(placement="switch"), config)
-    finally:
-        if previous is None:
-            os.environ.pop("PMNET_FOLD", None)
-        else:
-            os.environ["PMNET_FOLD"] = previous
-        if previous_no_fold is not None:
-            os.environ["PMNET_NO_FOLD"] = previous_no_fold
 
     profiler = EventProfiler()
     deployment.sim.attach_profiler(profiler)
@@ -192,7 +171,7 @@ def _run_loadgen_floor(seed: int) -> Dict[str, object]:
 def run_pipeline_benchmark(clients: int = 32, requests_per_client: int = 20,
                            seed: int = 0, repeats: int = 3,
                            spans: bool = False) -> Dict[str, object]:
-    """Measure every fold level; return the comparison (JSON-ready)."""
+    """Measure both fold levels; return the comparison (JSON-ready)."""
     if clients <= 0 or requests_per_client <= 0 or repeats <= 0:
         raise ValueError(
             "clients, requests_per_client, and repeats must be positive")
@@ -202,9 +181,8 @@ def run_pipeline_benchmark(clients: int = 32, requests_per_client: int = 20,
     samples = [mode.pop("latency_samples") for mode in by_mode.values()]
     identical = all(current == samples[0] for current in samples[1:])
     off = by_mode["none"]["events_per_request"]
-    stage = by_mode["stage"]["events_per_request"]
     whole = by_mode["whole"]["events_per_request"]
-    stage_calls = by_mode["stage"]["calls_per_request"]
+    off_calls = by_mode["none"]["calls_per_request"]
     whole_calls = by_mode["whole"]["calls_per_request"]
     return {
         "benchmark": "pipeline_events",
@@ -213,17 +191,12 @@ def run_pipeline_benchmark(clients: int = 32, requests_per_client: int = 20,
         "seed": seed,
         "repeats": repeats,
         "spans": spans,
-        # Historical key names: "fold" is the default (most aggressive)
-        # level, "no_fold" the fully unfolded baseline.
+        # "fold" is the default level, "no_fold" the unfolded baseline.
         "fold": by_mode["whole"],
-        "stage": by_mode["stage"],
         "no_fold": by_mode["none"],
         "events_per_request_reduction": (off - whole) / off if off else 0.0,
-        "whole_vs_stage_reduction": ((stage - whole) / stage
-                                     if stage else 0.0),
-        "whole_vs_stage_call_reduction": (
-            (stage_calls - whole_calls) / stage_calls
-            if stage_calls else 0.0),
+        "calls_per_request_reduction": ((off_calls - whole_calls) / off_calls
+                                        if off_calls else 0.0),
         "latencies_identical": identical,
         "loadgen": _run_loadgen_floor(seed),
     }
@@ -240,24 +213,19 @@ def write_result(result: Dict[str, object],
 
 def format_result(result: Dict[str, object]) -> str:
     fold = result["fold"]
-    stage = result["stage"]
     no_fold = result["no_fold"]
     reduction = result["events_per_request_reduction"]
-    whole_vs_stage = result["whole_vs_stage_reduction"]
-    call_reduction = result["whole_vs_stage_call_reduction"]
+    call_reduction = result["calls_per_request_reduction"]
     loadgen = result["loadgen"]
     identical = ("identical" if result["latencies_identical"]
                  else "DIVERGED (bug!)")
     return "\n".join([
         f"pipeline events/request: {fold['events_per_request']:.2f} whole "
-        f"vs {stage['events_per_request']:.2f} stage "
         f"vs {no_fold['events_per_request']:.2f} unfolded "
-        f"({reduction:.1%} fewer than unfolded, "
-        f"{whole_vs_stage:.1%} fewer than stage)",
+        f"({reduction:.1%} fewer)",
         f"pipeline calls/request: {fold['calls_per_request']:.1f} whole "
-        f"vs {stage['calls_per_request']:.1f} stage "
         f"vs {no_fold['calls_per_request']:.1f} unfolded "
-        f"({call_reduction:.1%} fewer than stage)",
+        f"({call_reduction:.1%} fewer)",
         f"wall-clock requests/sec: {fold['requests_per_second']:,.0f} whole "
         f"vs {no_fold['requests_per_second']:,.0f} unfolded",
         f"per-request latencies: {identical} across modes "

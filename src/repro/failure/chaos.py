@@ -498,7 +498,7 @@ def _set_impairments(channel, impairments: Impairments) -> None:
     # A fault window opening mid-run invalidates folded in-flight work
     # whose impairment draws would only happen from here on — convert it
     # back to the unfolded path so the draws land draw-for-draw where
-    # the PMNET_NO_FOLD timeline puts them.
+    # the unfolded (PMNET_FOLD=none) timeline puts them.
     channel.on_impairments_changed()
 
 

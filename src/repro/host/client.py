@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
-from repro.config import whole_request_folding_enabled
+from repro.config import folding_enabled
 from repro.core.replication import ReplicationPolicy, SINGLE_LOG
 from repro.errors import SessionError
 from repro.host.node import HostNode
@@ -116,10 +116,10 @@ class PMNetClient:
         self.completed_server = Counter(f"{scope}.completed_server")
         self.completed_cache = Counter(f"{scope}.completed_cache")
         self.retransmissions = Counter(f"{scope}.retransmissions")
-        #: Whole-request folding: the completion timeout is cancelled
-        #: instead of firing as a no-op, and the application wakeup
-        #: dispatches inline at its unfolded heap slot.
-        self._whole = whole_request_folding_enabled()
+        #: Folding: the completion timeout is cancelled instead of
+        #: firing as a no-op, and the application wakeup dispatches
+        #: inline at its unfolded heap slot.
+        self._fold = folding_enabled()
         register_with_sim(sim, self)
 
     def instruments(self) -> tuple:
@@ -259,7 +259,7 @@ class PMNetClient:
                 (packet.session_id, packet.seq_num, state.is_update), None)
         self._pending.pop(state.packets[0].request_id, None)
         state.timer_token = None
-        if self._whole and state.timer_call is not None:
+        if self._fold and state.timer_call is not None:
             # The pending timeout would fire as a pure no-op (its token
             # is cleared and the completion is triggered below, both
             # checked first thing), so it can be cancelled — except that
@@ -296,7 +296,7 @@ class PMNetClient:
         completion = Completion(result=result, via=via,
                                 retransmissions=state.retransmissions)
         cost = self.host.stack.dispatch_cost()
-        if self._whole and state.completion.waiter_count == 1:
+        if self._fold and state.completion.waiter_count == 1:
             # Single waiter (the driver): run it inline at the wakeup
             # instant.  The one-hop ``(0,)`` defer re-sequences the
             # record at ``now + cost``, allocating the fresh seq exactly

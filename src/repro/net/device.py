@@ -79,7 +79,7 @@ class Node:
         extra hops returns ``(extra_hops, barrier)``: the wire chain is
         extended by ``extra_hops`` and ends in ``barrier(frame,
         frame.payload)`` — which must re-check the node's liveness
-        exactly as the stage-folded interior callbacks would — instead
+        exactly as the folded pipeline's interior callbacks would — instead
         of the usual ``Channel._deliver`` delivery.  The answer must be
         a pure function of the frame's kind (its PMNet packet type, or
         "not PMNet"): channels cache it per kind until

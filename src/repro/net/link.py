@@ -14,7 +14,7 @@ The common case — no impairments, transmitter idle, output queue empty —
 takes a **latency-folded fast path**: serialization and propagation are
 summed into one scheduled delivery event instead of a ``_serialized``
 hop followed by a ``_deliver`` hop.  Delivery times are bit-identical to
-the unfolded path (``PMNET_NO_FOLD=1`` keeps it testable); only the
+the unfolded path (``PMNET_FOLD=none`` keeps it testable); only the
 event count changes.  Folding requires ``propagation_ns > 0``: with a
 zero-delay wire the deferred chain would execute delivery on the seq
 allocated at send time instead of the fresh seq the unfolded ``_launch``
@@ -50,18 +50,18 @@ reserve: host stack sends and PMNet device egress always schedule their
 own fire-time callback, because at those sites most reservations were
 revoked again before they started.
 
-**Whole-request folding** (fold level 2) extends a folded chain
-*through the receiving node*: the channel asks the sink node for an
+**Whole-request folding** extends a folded chain *through the receiving
+node*: the channel asks the sink node for an
 :meth:`~repro.net.device.Node.arrival_extension` — extra deterministic
 hops (a PMNet device's ingress/PM stages) appended to the serialize +
 propagation chain, ending in the node's own barrier callback instead of
 :meth:`_deliver`.  Each extra hop re-sequences at exactly the instant
-the stage-folded path would have allocated the corresponding event, so
-tie-breaking is unchanged; the barrier re-checks the receiver's
-liveness just as the stage-folded interior callbacks would.  Extended
-records revoke in place like base ones — a queueing frame, a competing
-send or a node failure converts the record back to the exact unfolded
-shape.
+the device's own folded pipeline would have allocated the corresponding
+event, so tie-breaking is unchanged; the barrier re-checks the
+receiver's liveness just as that pipeline's interior callbacks would.
+Extended records revoke in place like base ones — a queueing frame, a
+competing send or a node failure converts the record back to the exact
+unfolded shape.
 """
 
 from __future__ import annotations
@@ -574,7 +574,7 @@ class Channel:
             # can extend its delivery through the receiving node: the
             # record's push seq lands at this serialize-end instant and
             # each extension hop re-sequences exactly where the
-            # stage-folded interior would have allocated its events, so
+            # device's folded pipeline would have allocated its events, so
             # the chain is heap-order-identical with one event fewer.
             # The record is already past the transmitter, so nothing
             # here tracks it.  Impaired copies never extend, mirroring

@@ -31,21 +31,19 @@ from repro.sim.clock import (
     transmission_delay,
 )
 from repro.sim.event import (
-    EventQueue,
     HeapEventQueue,
     ScheduledCall,
     SimEvent,
     TieredEventQueue,
     make_event_queue,
 )
-from repro.sim.kernel import Simulator, resolve_kernel_backend
+from repro.sim.kernel import Simulator
 from repro.sim.monitor import (
     Counter,
     Gauge,
     LatencyRecorder,
     ThroughputMeter,
     TimeSeries,
-    component_summary,
     instruments_summary,
 )
 from repro.sim.process import AllOf, AnyOf, Interrupted, Process
@@ -60,28 +58,17 @@ from repro.sim.rand import (
 from repro.sim.trace import TraceRecord, Tracer
 
 
-def __getattr__(name: str):
-    # Deprecated: GLOBAL_TRACER survives as a lazy re-export so old
-    # imports keep working (with a DeprecationWarning) for one release
-    # without the warning firing at package-import time.
-    if name == "GLOBAL_TRACER":
-        from repro.sim import trace
-
-        return trace.GLOBAL_TRACER
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "NANOSECOND", "MICROSECOND", "MILLISECOND", "SECOND",
     "nanoseconds", "microseconds", "milliseconds", "seconds",
     "to_microseconds", "to_milliseconds", "to_seconds",
     "format_time", "transmission_delay",
-    "EventQueue", "HeapEventQueue", "TieredEventQueue", "make_event_queue",
+    "HeapEventQueue", "TieredEventQueue", "make_event_queue",
     "ScheduledCall", "SimEvent",
-    "Simulator", "resolve_kernel_backend",
+    "Simulator",
     "Process", "AllOf", "AnyOf", "Interrupted",
     "Counter", "Gauge", "LatencyRecorder", "ThroughputMeter", "TimeSeries",
-    "component_summary", "instruments_summary", "EventProfiler",
+    "instruments_summary", "EventProfiler",
     "RandomStreams", "LatencyJitter", "zipfian_ranks",
     "exponential_delay", "choose_weighted",
     "Tracer", "TraceRecord",

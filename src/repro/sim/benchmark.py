@@ -5,11 +5,11 @@ model, just the cost of pushing a callback onto the event queue and
 executing it.  Every simulated packet costs a handful of these, so the
 number here bounds whole-experiment wall time.
 
-Three queue shapes are measured, each against **all three** scheduler
-backends (``PMNET_KERNEL=heap|tiered|compiled``), so the report carries
-its own reference points — absolute events/sec vary wildly across
-machines, but the tiered-vs-heap and compiled-vs-tiered ratios on the
-same interpreter are properties of the code:
+Three queue shapes are measured, each against **both** scheduler
+backends (``PMNET_KERNEL=heap|tiered``), so the report carries its own
+reference point — absolute events/sec vary wildly across machines, but
+the tiered-vs-heap ratio on the same interpreter is a property of the
+code:
 
 * ``mixed`` — the headline shape: self-rescheduling tickers that carry
   *state as positional arguments* (components hand their context to
@@ -34,9 +34,8 @@ alongside for context.
 
 Two entry points use this module: ``pmnet-repro bench-kernel`` (writes
 ``BENCH_kernel.json``) and ``benchmarks/test_kernel_events.py`` (the
-regression floors: on the mixed shape, the best adjacent heap/tiered
-pair measured in the same process must stay ≥1.25×, and the best
-adjacent tiered/compiled pair ≥1.15×).
+regression floor: on the mixed shape, the best adjacent heap/tiered
+pair measured in the same process must stay ≥1.25×).
 """
 
 from __future__ import annotations
@@ -71,11 +70,8 @@ _DISPATCH_CHAIN = 3
 #: The shapes measured by :func:`run_kernel_benchmark`, headline first.
 SHAPES = ("mixed", "same_instant", "cancel_heavy")
 
-#: The scheduler backends every shape is measured against.  The
-#: compiled backend generates its loop variant on first use, so its
-#: first timed run carries a one-off ~ms exec cost; the best-pair
-#: statistic the floors check is immune to it.
-BACKENDS = ("heap", "tiered", "compiled")
+#: The scheduler backends every shape is measured against.
+BACKENDS = ("heap", "tiered")
 
 #: Result file emitted by ``pmnet-repro bench-kernel``.
 BENCH_RESULT_FILE = "BENCH_kernel.json"
@@ -231,21 +227,18 @@ def _median(sorted_values) -> float:
 
 def run_shape_comparison(shape: str, num_events: int = 100_000,
                          repeats: int = 5) -> Dict[str, object]:
-    """Measure one shape on all three backends in adjacent groups.
+    """Measure one shape on both backends in adjacent groups.
 
     Machine speed on shared hosts drifts in phases lasting seconds
     (frequency scaling, noisy neighbours) that shift even CPU-time
     rates, so comparing a heap run from one phase against a tiered run
-    from another is meaningless.  Each repeat therefore runs the three
+    from another is meaningless.  Each repeat therefore runs the two
     backends back to back — inside one phase — and yields one pairwise
-    ratio per comparison: tiered/heap (``speedup``/``speedup_best``,
-    the keys older reports carry) and compiled/tiered
-    (``speedup_compiled``/``speedup_compiled_best``).  The headline
-    number of each is the **median** of the ratios (the honest central
-    estimate); the ``_best`` variant is the **max** (host noise only
-    ever drags a pair toward 1:1 by disturbing one side of it, so the
-    least-disturbed pair is the cleanest view of the structural ratio —
-    that is what the regression floors check).  Group order alternates
+    tiered/heap ratio.  ``speedup`` is the **median** of the ratios
+    (the honest central estimate); ``speedup_best`` is the **max**
+    (host noise only ever drags a pair toward 1:1 by disturbing one
+    side of it, so the least-disturbed pair is the cleanest view of
+    the structural ratio — that is what the regression floor checks).  Group order alternates
     to cancel any drift bias.  Per-backend bests are kept for the
     absolute-rate report.
     """
@@ -253,7 +246,6 @@ def run_shape_comparison(shape: str, num_events: int = 100_000,
         raise ValueError("repeats must be positive")
     runs = {backend: [] for backend in BACKENDS}
     pairwise = []
-    pairwise_compiled = []
     for index in range(repeats):
         order = BACKENDS if index % 2 == 0 else BACKENDS[::-1]
         group = {}
@@ -264,24 +256,15 @@ def run_shape_comparison(shape: str, num_events: int = 100_000,
         tiered_rate = group["tiered"]["events_per_second"]
         if heap_rate > 0:
             pairwise.append(tiered_rate / heap_rate)
-        if tiered_rate > 0:
-            pairwise_compiled.append(
-                group["compiled"]["events_per_second"] / tiered_rate)
     pairwise.sort()
-    pairwise_compiled.sort()
     best = {backend: _best(runs[backend]) for backend in BACKENDS}
     return {
         "shape": shape,
         "heap": best["heap"],
         "tiered": best["tiered"],
-        "compiled": best["compiled"],
         "speedup": _median(pairwise),
         "speedup_best": pairwise[-1] if pairwise else 0.0,
         "pairwise_speedups": pairwise,
-        "speedup_compiled": _median(pairwise_compiled),
-        "speedup_compiled_best": (pairwise_compiled[-1]
-                                  if pairwise_compiled else 0.0),
-        "pairwise_compiled_speedups": pairwise_compiled,
         "all_events_per_second": {
             backend: [r["events_per_second"] for r in runs[backend]]
             for backend in BACKENDS},
@@ -293,15 +276,13 @@ def run_kernel_benchmark(num_events: int = 100_000,
                          shapes=SHAPES) -> Dict[str, object]:
     """Run every shape on all backends; report rates and ratios.
 
-    The headline ``events_per_second`` is the mixed-shape compiled rate
+    The headline ``events_per_second`` is the mixed-shape tiered rate
     (best of N — the run least disturbed by the OS);
-    ``tiered_events_per_second`` and ``baseline_events_per_second``
-    (heap) are the references from the same process.  ``speedup_mixed``
-    / ``speedup_mixed_best`` keep their historical meaning (tiered over
-    heap, median / least-disturbed pair — the ≥1.25× floor);
-    ``speedup_compiled_mixed`` / ``speedup_compiled_mixed_best`` are
-    compiled over tiered (the ≥1.15× floor).  Absolute rates are
-    machine-bound; the paired ratios are not.
+    ``baseline_events_per_second`` (heap) is the reference from the
+    same process.  ``speedup_mixed`` / ``speedup_mixed_best`` are
+    tiered over heap, median / least-disturbed pair (the ≥1.25×
+    floor).  Absolute rates are machine-bound; the paired ratios are
+    not.
     """
     results = {shape: run_shape_comparison(shape, num_events, repeats)
                for shape in shapes}
@@ -311,14 +292,11 @@ def run_kernel_benchmark(num_events: int = 100_000,
         "num_events": num_events,
         "repeats": repeats,
         "backends": list(BACKENDS),
-        "events_per_second": headline["compiled"]["events_per_second"],
-        "tiered_events_per_second": headline["tiered"]["events_per_second"],
+        "events_per_second": headline["tiered"]["events_per_second"],
         "baseline_events_per_second": headline["heap"]["events_per_second"],
         "speedup_mixed": headline["speedup"],
         "speedup_mixed_best": headline["speedup_best"],
-        "speedup_compiled_mixed": headline["speedup_compiled"],
-        "speedup_compiled_mixed_best": headline["speedup_compiled_best"],
-        "seconds": headline["compiled"]["seconds"],
+        "seconds": headline["tiered"]["seconds"],
         "shapes": results,
     }
 
@@ -334,27 +312,17 @@ def write_result(result: Dict[str, object],
 
 def format_result(result: Dict[str, object]) -> str:
     lines = [
-        (f"kernel events/sec (mixed, compiled): "
+        (f"kernel events/sec (mixed, tiered): "
          f"{result['events_per_second']:,.0f} — tiered/heap "
          f"{result['speedup_mixed']:.2f}x median / "
-         f"{result.get('speedup_mixed_best', 0.0):.2f}x best pair, "
-         f"compiled/tiered "
-         f"{result.get('speedup_compiled_mixed', 0.0):.2f}x median / "
-         f"{result.get('speedup_compiled_mixed_best', 0.0):.2f}x best pair "
+         f"{result.get('speedup_mixed_best', 0.0):.2f}x best pair "
          f"({result['num_events']} events, "
          f"{result['repeats']} adjacent groups, CPU-time rates)"),
     ]
     for shape, comparison in result.get("shapes", {}).items():
-        compiled = comparison.get("compiled")
-        compiled_col = (
-            f"  compiled {compiled['events_per_second']:>12,.0f}"
-            if compiled else "")
         lines.append(
             f"  {shape:13s} heap {comparison['heap']['events_per_second']:>12,.0f}"
             f"  tiered {comparison['tiered']['events_per_second']:>12,.0f}"
-            f"{compiled_col}"
             f"  tiered/heap {comparison['speedup']:.2f}x"
-            f" (best {comparison.get('speedup_best', 0.0):.2f}x)"
-            f"  compiled/tiered {comparison.get('speedup_compiled', 0.0):.2f}x"
-            f" (best {comparison.get('speedup_compiled_best', 0.0):.2f}x)")
+            f" (best {comparison.get('speedup_best', 0.0):.2f}x)")
     return "\n".join(lines)

@@ -294,7 +294,7 @@ class HeapEventQueue:
         """
         call = self._pop_live()
         if call is None:
-            raise IndexError("pop from empty EventQueue")
+            raise IndexError("pop from empty event queue")
         return call
 
     def peek_time(self) -> Optional[int]:
@@ -644,7 +644,7 @@ class TieredEventQueue:
         """
         call = self._pop_live()
         if call is None:
-            raise IndexError("pop from empty EventQueue")
+            raise IndexError("pop from empty event queue")
         return call
 
     def peek_time(self) -> Optional[int]:
@@ -716,12 +716,7 @@ class TieredEventQueue:
         return self._size > 0
 
 
-#: Backwards-compatible name: the reference backend.  Use
-#: :func:`make_event_queue` (or ``Simulator``) to honour ``PMNET_KERNEL``.
-EventQueue = HeapEventQueue
-
-#: The selectable scheduler backends (the ``compiled`` hook point
-#: resolves through :func:`repro.sim.kernel.resolve_kernel_backend`).
+#: The selectable scheduler backends (``PMNET_KERNEL``).
 QUEUE_BACKENDS = {
     "heap": HeapEventQueue,
     "tiered": TieredEventQueue,

@@ -22,62 +22,15 @@ the queue work it wraps.  ``benchmarks/test_kernel_events.py`` and the
 from __future__ import annotations
 
 import heapq
-import importlib
-import warnings
 from typing import Any, Callable, Iterator, Optional
 
 from repro.errors import SimulationError
 from repro.sim.clock import format_time
-from repro.sim.event import (EventQueue, HeapEventQueue,  # noqa: F401
-                             ScheduledCall, SimEvent, TieredEventQueue,
-                             make_event_queue)
+from repro.sim.event import (HeapEventQueue, ScheduledCall, SimEvent,
+                             TieredEventQueue, make_event_queue)
 from repro.sim.process import Process
 from repro.sim.rand import RandomStreams
 from repro.sim.trace import Tracer
-
-_warned_compiled_fallback = False
-
-
-def reset_compiled_fallback_warning() -> None:
-    """Re-arm the once-per-process compiled-fallback warning.
-
-    The latch makes the warning untestable after the first resolution in
-    a process; tests (and anything that swaps ``repro.sim.compiled`` in
-    or out at runtime) reset it through this hook instead of poking the
-    module global.
-    """
-    global _warned_compiled_fallback
-    _warned_compiled_fallback = False
-
-
-def resolve_kernel_backend(name: Optional[str] = None) -> str:
-    """Resolve the configured scheduler backend to an available one.
-
-    ``compiled`` is a hook point for an ahead-of-time-compiled queue (the
-    ROADMAP's mypyc/Cython item): it resolves to the ``repro.sim.compiled``
-    module when importable and falls back to ``tiered`` (once, with a
-    warning) when not, so ``PMNET_KERNEL=compiled`` is always safe to set.
-    A compiled backend must either mirror ``TieredEventQueue``'s structural
-    contract or export its own ``run_loop(sim, until, max_events)``.
-    """
-    if name is None:
-        # Imported here, not at module top: repro.config itself imports
-        # repro.sim.clock, so a top-level import would be circular.
-        from repro.config import kernel_backend
-        name = kernel_backend()
-    if name == "compiled":
-        try:
-            importlib.import_module("repro.sim.compiled")
-        except ImportError:
-            global _warned_compiled_fallback
-            if not _warned_compiled_fallback:
-                _warned_compiled_fallback = True
-                warnings.warn(
-                    "PMNET_KERNEL=compiled requested but repro.sim.compiled "
-                    "is not built; falling back to the tiered backend",
-                    RuntimeWarning, stacklevel=2)
-            return "tiered"
-    return name
 
 
 class Simulator:
@@ -89,16 +42,16 @@ class Simulator:
         #: a property: every component reads it several times per event.
         #: Only the run loops write it.
         self.now = 0
-        #: The resolved scheduler backend name (``heap``/``tiered``/...),
-        #: fixed at construction; ``PMNET_KERNEL`` selects it.
-        self.kernel = resolve_kernel_backend(kernel)
-        if self.kernel == "compiled":
-            compiled = importlib.import_module("repro.sim.compiled")
-            self._queue = compiled.make_event_queue()
-            self._compiled_run = getattr(compiled, "run_loop", None)
-        else:
-            self._queue = make_event_queue(self.kernel)
-            self._compiled_run = None
+        if kernel is None:
+            # Imported here, not at module top: repro.config itself
+            # imports repro.sim.clock, so a top-level import would be
+            # circular.
+            from repro.config import kernel_backend
+            kernel = kernel_backend()
+        #: The scheduler backend name (``heap`` or ``tiered``), fixed at
+        #: construction; ``PMNET_KERNEL`` selects it by default.
+        self.kernel = kernel
+        self._queue = make_event_queue(self.kernel)
         self._running = False
         self._stopped = False
         # Shadow the generic schedule/call_soon methods with
@@ -148,10 +101,8 @@ class Simulator:
         ``queue.push``.  These closures repeat the push body inline
         (record construction via direct slot stores, tier routing for
         the tiered queue) with the queue structures captured as closure
-        cells.  Tiered queues (the ``tiered`` and ``compiled`` backends
-        alike — this is the only copy of their push path) also get a
-        fused ``schedule_deferred`` (guard + ``push_deferred`` +
-        ``_insert`` in one frame).  Semantics are identical to the class
+        cells.  The tiered queue also gets a fused ``schedule_deferred``
+        (guard + ``push_deferred`` + ``_insert`` in one frame).  Semantics are identical to the class
         methods they shadow — the causality guard, the returned handle,
         and the exact routing mirror ``HeapEventQueue.push`` /
         ``TieredEventQueue.push``/``push_deferred``; any change there
@@ -428,9 +379,7 @@ class Simulator:
         self._running = True
         self._stopped = False
         try:
-            if self._compiled_run is not None:
-                self._compiled_run(self, until, max_events)
-            elif self.kernel == "heap":
+            if self.kernel == "heap":
                 self._run_heap(until, max_events)
             else:
                 self._run_tiered(until, max_events)

@@ -17,8 +17,6 @@ perturb the digest, so nobody "optimizes" them onto the default path.
 from __future__ import annotations
 
 import hashlib
-import os
-from contextlib import contextmanager
 
 import pytest
 
@@ -27,9 +25,10 @@ from repro.experiments.deploy import DeploymentSpec, build
 from repro.sim.clock import microseconds
 from repro.sim.trace import Tracer
 from repro.workloads.loadgen import LoadGenConfig, run_loadgen
+from tests.knobs import pinned
 
-BACKENDS = ("heap", "tiered", "compiled")
-FOLD_LEVELS = ("none", "stage", "whole")
+BACKENDS = ("heap", "tiered")
+FOLD_LEVELS = ("none", "whole")
 
 SPEC = DeploymentSpec(racks=2, devices_per_rack=2, servers_per_rack=2,
                       chain_length=2, clients_per_rack=1,
@@ -37,19 +36,6 @@ SPEC = DeploymentSpec(racks=2, devices_per_rack=2, servers_per_rack=2,
 
 LOADGEN = LoadGenConfig(mode="closed", users=2_000, total_requests=400,
                         window=16, warmup_requests=4)
-
-
-@contextmanager
-def _env(name: str, value: str):
-    previous = os.environ.get(name)
-    os.environ[name] = value
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(name, None)
-        else:
-            os.environ[name] = previous
 
 
 def _observables(attach: str, heartbeats: bool = False) -> dict:
@@ -81,7 +67,7 @@ def _observables(attach: str, heartbeats: bool = False) -> dict:
 class TestControlIdentity:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_zero_action_plane_is_invisible_per_backend(self, backend):
-        with _env("PMNET_KERNEL", backend):
+        with pinned(kernel=backend):
             bare = _observables("none")
             unstarted = _observables("unstarted")
             idle = _observables("idle")
@@ -93,7 +79,7 @@ class TestControlIdentity:
 
     @pytest.mark.parametrize("fold", FOLD_LEVELS)
     def test_zero_action_plane_is_invisible_per_fold_level(self, fold):
-        with _env("PMNET_FOLD", fold):
+        with pinned(fold=fold):
             bare = _observables("none")
             idle = _observables("idle")
         assert idle["samples"] == bare["samples"]
@@ -106,8 +92,7 @@ class TestControlIdentity:
         digests = set()
         for backend in BACKENDS:
             for fold in FOLD_LEVELS:
-                with _env("PMNET_KERNEL", backend), \
-                        _env("PMNET_FOLD", fold):
+                with pinned(fold=fold, kernel=backend):
                     digests.add(_observables("none")["samples"])
                     digests.add(_observables("idle")["samples"])
         assert len(digests) == 1

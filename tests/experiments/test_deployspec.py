@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import warnings
-from contextlib import contextmanager
 
 import pytest
 
@@ -36,22 +34,10 @@ from repro.protocol.packet import reset_request_ids
 from repro.workloads.handlers import StructureHandler
 from repro.workloads.kv import OpKind, Operation
 from repro.workloads.pmdk.hashmap import PMHashmap
+from tests.knobs import pinned
 
-BACKENDS = ("heap", "tiered", "compiled")
-FOLD_LEVELS = ("none", "stage", "whole")
-
-
-@contextmanager
-def _env(name: str, value: str):
-    previous = os.environ.get(name)
-    os.environ[name] = value
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(name, None)
-        else:
-            os.environ[name] = previous
+BACKENDS = ("heap", "tiered")
+FOLD_LEVELS = ("none", "whole")
 
 
 # ----------------------------------------------------------------------
@@ -217,7 +203,7 @@ class TestShimEquivalence:
     @pytest.mark.parametrize("fold", FOLD_LEVELS)
     def test_byte_identical_across_fold_levels(self, name, fold):
         shim, spec = PAIRS[name]
-        with _env("PMNET_FOLD", fold):
+        with pinned(fold=fold):
             via_shim, via_spec = _observables(shim), _observables(spec)
         assert via_shim == via_spec, (
             f"{name} shim diverged from its spec at fold level {fold}")
@@ -226,7 +212,7 @@ class TestShimEquivalence:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_byte_identical_across_backends(self, name, backend):
         shim, spec = PAIRS[name]
-        with _env("PMNET_KERNEL", backend):
+        with pinned(kernel=backend):
             via_shim, via_spec = _observables(shim), _observables(spec)
         assert via_shim == via_spec, (
             f"{name} shim diverged from its spec on the {backend} backend")

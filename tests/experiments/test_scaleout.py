@@ -1,26 +1,12 @@
 """Tests for the scale-out experiment (fabric tail latency sweep)."""
 
 import json
-import os
-from contextlib import contextmanager
 
 from repro.experiments import scaleout
 from repro.experiments.deploy import DeploymentSpec
+from tests.knobs import pinned
 
-BACKENDS = ("heap", "tiered", "compiled")
-
-
-@contextmanager
-def _kernel(name):
-    previous = os.environ.get("PMNET_KERNEL")
-    os.environ["PMNET_KERNEL"] = name
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("PMNET_KERNEL", None)
-        else:
-            os.environ["PMNET_KERNEL"] = previous
+BACKENDS = ("heap", "tiered")
 
 
 class TestSweepDefinition:
@@ -56,7 +42,7 @@ class TestRunPoint:
                     if job.point == "shards=4/chain=3")
         summaries = {}
         for backend in BACKENDS:
-            with _kernel(backend):
+            with pinned(kernel=backend):
                 summaries[backend] = scaleout.run_point(spec)
         assert summaries["heap"]["modeled_users"] >= 10_000
         assert summaries["heap"]["completed"] > 0

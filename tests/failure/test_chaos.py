@@ -16,6 +16,7 @@ from repro.experiments.jobs import execute_serial
 from repro.experiments.parallel import run_jobs
 from repro.experiments.registry import EXPERIMENTS
 from repro.failure import chaos
+from tests.knobs import pinned
 
 CORPUS = Path(__file__).parent / "chaos_corpus.txt"
 
@@ -59,11 +60,12 @@ class TestDeterministicReplay:
         second = chaos.run_plan(plan)
         assert first.to_dict() == second.to_dict()
 
-    def test_fold_identity(self, monkeypatch):
+    def test_fold_identity(self):
         plan = chaos.generate_plan(7)
-        folded = chaos.run_plan(plan)
-        monkeypatch.setenv("PMNET_NO_FOLD", "1")
-        unfolded = chaos.run_plan(plan)
+        with pinned(fold="whole"):
+            folded = chaos.run_plan(plan)
+        with pinned(fold="none"):
+            unfolded = chaos.run_plan(plan)
         assert unfolded.trace_digest == folded.trace_digest
         assert unfolded.violations == folded.violations
         assert unfolded.completions == folded.completions
@@ -96,14 +98,11 @@ class TestWholeFoldReplay:
     """
 
     @staticmethod
-    def _assert_fold_invisible(plan, monkeypatch):
-        monkeypatch.delenv("PMNET_FOLD", raising=False)
-        monkeypatch.setenv("PMNET_NO_FOLD", "1")
-        unfolded = chaos.run_plan(plan)
-        monkeypatch.delenv("PMNET_NO_FOLD")
-        monkeypatch.setenv("PMNET_FOLD", "whole")
-        whole = chaos.run_plan(plan)
-        monkeypatch.delenv("PMNET_FOLD")
+    def _assert_fold_invisible(plan):
+        with pinned(fold="none"):
+            unfolded = chaos.run_plan(plan)
+        with pinned(fold="whole"):
+            whole = chaos.run_plan(plan)
         label = f"seed={plan.seed}"
         assert whole.trace_digest == unfolded.trace_digest, label
         assert whole.violations == unfolded.violations, label
@@ -113,17 +112,16 @@ class TestWholeFoldReplay:
         # Folding only merges events; it never adds any.
         assert whole.executed_events <= unfolded.executed_events, label
 
-    def test_shipped_corpus_replays_identically(self, monkeypatch):
+    def test_shipped_corpus_replays_identically(self):
         seeds = chaos.load_corpus(str(CORPUS))
         assert seeds
         for seed in seeds:
-            self._assert_fold_invisible(chaos.generate_plan(seed),
-                                        monkeypatch)
+            self._assert_fold_invisible(chaos.generate_plan(seed))
 
     @pytest.mark.slow
     @pytest.mark.parametrize("seed", range(1000, 1040))
-    def test_fresh_sweep_replays_identically(self, seed, monkeypatch):
-        self._assert_fold_invisible(chaos.generate_plan(seed), monkeypatch)
+    def test_fresh_sweep_replays_identically(self, seed):
+        self._assert_fold_invisible(chaos.generate_plan(seed))
 
 
 def _plant_eager_invalidate(monkeypatch):

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.failure import chaos
+from tests.knobs import pinned
 
 CORPUS = Path(__file__).parent / "chaos_control_corpus.txt"
 
@@ -83,11 +84,12 @@ class TestControlReplay:
         assert chaos.run_plan(plan).to_dict() == \
             chaos.run_plan(plan).to_dict()
 
-    def test_fold_identity(self, monkeypatch):
+    def test_fold_identity(self):
         plan = chaos.generate_control_plan(0)
-        folded = chaos.run_plan(plan)
-        monkeypatch.setenv("PMNET_NO_FOLD", "1")
-        unfolded = chaos.run_plan(plan)
+        with pinned(fold="whole"):
+            folded = chaos.run_plan(plan)
+        with pinned(fold="none"):
+            unfolded = chaos.run_plan(plan)
         assert unfolded.trace_digest == folded.trace_digest
         assert unfolded.violations == folded.violations
         assert unfolded.completions == folded.completions

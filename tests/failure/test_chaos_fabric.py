@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.failure import chaos
+from tests.knobs import pinned
 
 CORPUS = Path(__file__).parent / "chaos_fabric_corpus.txt"
 
@@ -79,11 +80,12 @@ class TestFabricReplay:
         assert chaos.run_plan(plan).to_dict() == \
             chaos.run_plan(plan).to_dict()
 
-    def test_fold_identity(self, monkeypatch):
+    def test_fold_identity(self):
         plan = chaos.generate_fabric_plan(0)
-        folded = chaos.run_plan(plan)
-        monkeypatch.setenv("PMNET_NO_FOLD", "1")
-        unfolded = chaos.run_plan(plan)
+        with pinned(fold="whole"):
+            folded = chaos.run_plan(plan)
+        with pinned(fold="none"):
+            unfolded = chaos.run_plan(plan)
         assert unfolded.trace_digest == folded.trace_digest
         assert unfolded.violations == folded.violations
         assert unfolded.completions == folded.completions

@@ -11,13 +11,10 @@ guarantees on a real 2-rack fabric:
   member's log drains once the run quiesces;
 * an acknowledged write survives a power-cut of the head, a middle
   member, the tail, or the shard server itself (the durability oracle);
-* all of the above is byte-identical across the three kernel backends.
+* all of the above is byte-identical across both kernel backends.
 """
 
 from __future__ import annotations
-
-import os
-from contextlib import contextmanager
 
 import pytest
 
@@ -28,8 +25,9 @@ from repro.sim.clock import microseconds, milliseconds
 from repro.workloads.handlers import StructureHandler
 from repro.workloads.kv import OpKind, Operation
 from repro.workloads.pmdk.hashmap import PMHashmap
+from tests.knobs import pinned
 
-BACKENDS = ("heap", "tiered", "compiled")
+BACKENDS = ("heap", "tiered")
 
 #: 2 racks x 2 devices, one shard server per rack, chain of 3: every
 #: chain crosses the spine and has a head, a middle, and a tail.
@@ -38,19 +36,6 @@ FABRIC = DeploymentSpec(racks=2, devices_per_rack=2, servers_per_rack=1,
                         placement="switch")
 
 REQUESTS_PER_CLIENT = 20
-
-
-@contextmanager
-def _kernel(name: str):
-    previous = os.environ.get("PMNET_KERNEL")
-    os.environ["PMNET_KERNEL"] = name
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("PMNET_KERNEL", None)
-        else:
-            os.environ["PMNET_KERNEL"] = previous
 
 
 def _run_fabric(crash: str = "none", seed: int = 7) -> dict:
@@ -175,7 +160,7 @@ class TestChainDurability:
     def test_crash_recovery_is_backend_identical(self, crash):
         observables = {}
         for backend in BACKENDS:
-            with _kernel(backend):
+            with pinned(kernel=backend):
                 outcome = _run_fabric(crash=crash)
             observables[backend] = {
                 "acknowledged": outcome["acknowledged"],

@@ -1,15 +1,15 @@
 """The folding correctness bar: fold on == fold off, byte for byte.
 
 The latency-folded fast paths (``net/link.py`` reservations and chains,
-``net/switch.py`` forwarding folds, ``core/pmnet_device.py`` stage folds)
+``net/switch.py`` forwarding folds, ``core/pmnet_device.py`` pipeline folds)
 claim to change only the executed-event count, never a delivery time, a
 queue decision, or an RNG draw.  This file holds that claim to account:
 
 * a hypothesis property over random star topologies — random frame
   sizes, send times, and sources, driven through a real ``Switch`` so
   reservations, revocations, queueing, and mid-fold conversions all
-  trigger — must produce identical arrival logs with ``PMNET_NO_FOLD``
-  set and unset;
+  trigger — must produce identical arrival logs with ``PMNET_FOLD``
+  set to ``none`` and ``whole``;
 * a second property with frame sizes and send times quantized so that
   sends collide with serialization boundaries on the same nanosecond,
   stressing the tie-break claim of the in-place fold conversion;
@@ -28,8 +28,6 @@ queue decision, or an RNG draw.  This file holds that claim to account:
 """
 
 import hashlib
-import os
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -53,43 +51,16 @@ from repro.workloads.handlers import StructureHandler
 from repro.workloads.kv import OpKind, Operation
 from repro.workloads.pmdk.hashmap import PMHashmap
 from repro.workloads.ycsb import YCSBConfig, make_op_maker
+from tests.knobs import pinned
 
-#: Every fold level the identity bar covers, least to most aggressive.
-FOLD_LEVELS = ("none", "stage", "whole")
+#: Every fold level the identity bar covers: the unfolded reference
+#: first, then the default.
+FOLD_LEVELS = ("none", "whole")
 
 
-@contextmanager
 def _fold_mode(no_fold):
-    """Build components with folding forced off (or explicitly on)."""
-    previous = os.environ.get("PMNET_NO_FOLD")
-    try:
-        if no_fold:
-            os.environ["PMNET_NO_FOLD"] = "1"
-        else:
-            os.environ.pop("PMNET_NO_FOLD", None)
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("PMNET_NO_FOLD", None)
-        else:
-            os.environ["PMNET_NO_FOLD"] = previous
-
-
-@contextmanager
-def _fold_level(level):
-    """Build components at an explicit fold level (none/stage/whole)."""
-    previous_no_fold = os.environ.pop("PMNET_NO_FOLD", None)
-    previous = os.environ.get("PMNET_FOLD")
-    try:
-        os.environ["PMNET_FOLD"] = level
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("PMNET_FOLD", None)
-        else:
-            os.environ["PMNET_FOLD"] = previous
-        if previous_no_fold is not None:
-            os.environ["PMNET_NO_FOLD"] = previous_no_fold
+    """Build components with folding off (or on, the default level)."""
+    return pinned(fold="none" if no_fold else "whole")
 
 
 def _set_impairments(channel, impairments):
@@ -238,8 +209,7 @@ class TestImpairedNeverFolds:
         sends = [(i * 5_000, 0, 1, 100) for i in range(10)]
         sim_arrivals, _ = _run_star(2, sends, no_fold=False, loss_seed=7)
         # Build again to inspect the channel counters directly.
-        previous = os.environ.pop("PMNET_NO_FOLD", None)
-        try:
+        with pinned(fold="whole"):
             sim = Simulator(seed=7)
             profile = NetworkProfile()
             topo = Topology(sim, profile)
@@ -256,9 +226,6 @@ class TestImpairedNeverFolds:
             sim.run()
             assert int(src.ports[0].channel.folded_sends) == 0
             assert int(src.ports[0].channel.dropped_loss) > 0
-        finally:
-            if previous is not None:
-                os.environ["PMNET_NO_FOLD"] = previous
 
 
 def _device_crash_run(crash_offset_ns, no_fold):
@@ -316,7 +283,7 @@ def _client_reboot_run(level, fail_offset_ns, recover_offset_ns):
     from repro.protocol.packet import reset_request_ids
 
     reset_request_ids()
-    with _fold_level(level):
+    with pinned(fold=level):
         cfg = SystemConfig(seed=3).with_clients(1)
         tracer = Tracer(enabled=True)
         handler = StructureHandler(PMHashmap())
@@ -396,7 +363,6 @@ class TestCrashIdentity:
         # before the retransmission timeout resends the request.
         assert runs["none"][0] == (0,)
         assert runs["none"][1][0][2] == 1  # one timeout retransmission
-        assert runs["stage"] == runs["none"]
         assert runs["whole"] == runs["none"]
 
     def test_client_crash_scenario_identical(self):
@@ -427,7 +393,7 @@ def _whole_request_run(level, clients, replication, cache, update_ratio,
     # Request ids are process-global; reset so the traces of the runs
     # being compared are identical line for line, not just in shape.
     reset_request_ids()
-    with _fold_level(level):
+    with pinned(fold=level):
         cfg = SystemConfig(seed=seed).with_clients(clients)
         tracer = Tracer(enabled=True)
         handler = StructureHandler(PMHashmap())
@@ -487,9 +453,8 @@ class TestWholeRequestFoldProperty:
 
     Random star deployments — client count, replication depth, cache
     on/off — crossed with YCSB mixes and impairment/fault windows must
-    produce byte-identical per-request latencies and trace digests at
-    every fold level: fully unfolded, stage-folded, and whole-request
-    folded.
+    produce byte-identical per-request latencies and trace digests
+    fully unfolded and whole-request folded.
     """
 
     @settings(max_examples=15, deadline=None)
@@ -501,36 +466,30 @@ class TestWholeRequestFoldProperty:
                                           cache, update_ratio, seed,
                                           impair_window, crash_at)
                 for level in FOLD_LEVELS}
-        assert runs["stage"] == runs["none"]
         assert runs["whole"] == runs["none"]
 
 
 class TestExperimentIdentity:
     @pytest.mark.slow
-    def test_fig07_formats_identically_with_and_without_folding(self,
-                                                                monkeypatch):
+    def test_fig07_formats_identically_with_and_without_folding(self):
         # fig07 runs the packet-loss scenarios: impaired channels plus
         # retransmission storms — the hardest case for fold identity.
         from repro.experiments import fig07_ordering
 
-        monkeypatch.delenv("PMNET_NO_FOLD", raising=False)
-        folded = fig07_ordering.run(quick=True).format()
-        monkeypatch.setenv("PMNET_NO_FOLD", "1")
-        unfolded = fig07_ordering.run(quick=True).format()
+        with pinned(fold="whole"):
+            folded = fig07_ordering.run(quick=True).format()
+        with pinned(fold="none"):
+            unfolded = fig07_ordering.run(quick=True).format()
         assert folded == unfolded
 
     @pytest.mark.slow
     @pytest.mark.parametrize("experiment_id", sorted(EXPERIMENTS))
     def test_every_registry_table_is_fold_level_invariant(self,
-                                                          experiment_id,
-                                                          monkeypatch):
+                                                          experiment_id):
         """Every experiment's quick report, at every fold level."""
         entry = EXPERIMENTS[experiment_id]
         reports = {}
         for level in FOLD_LEVELS:
-            monkeypatch.delenv("PMNET_NO_FOLD", raising=False)
-            monkeypatch.setenv("PMNET_FOLD", level)
-            reports[level] = entry.run(quick=True)
-        monkeypatch.delenv("PMNET_FOLD")
-        assert reports["stage"] == reports["none"], experiment_id
+            with pinned(fold=level):
+                reports[level] = entry.run(quick=True)
         assert reports["whole"] == reports["none"], experiment_id

@@ -1,10 +1,10 @@
 """Backend identity bar: every backend's runs must match bit for bit.
 
-The tiered and compiled schedulers are pure performance substitutions —
+The tiered scheduler is a pure performance substitution for the heap —
 the acceptance line is that chaos digests, closed-loop latency samples,
 and metrics registry tables are *byte-identical* under
-``PMNET_KERNEL=heap``, ``tiered``, and ``compiled``.  These tests drive
-real deployments (not synthetic queues) through every backend and diff
+``PMNET_KERNEL=heap`` and ``tiered``.  These tests drive real
+deployments (not synthetic queues) through both backends and diff
 every observable:
 trace digests, executed-event counts, final clocks, handler state
 digests, latency sample streams, and formatted report tables.
@@ -17,35 +17,20 @@ fault injector and the instrumented metrics pipeline.
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-
 from repro.config import SystemConfig
 from repro.experiments.deploy import build_pmnet_switch
 from repro.experiments.driver import run_closed_loop
 from repro.workloads.handlers import StructureHandler
 from repro.workloads.kv import OpKind, Operation
 from repro.workloads.pmdk.hashmap import PMHashmap
+from tests.knobs import pinned
 
-BACKENDS = ("heap", "tiered", "compiled")
+BACKENDS = ("heap", "tiered")
 
 #: Seeded chaos schedules replayed under every backend.  Three seeds
 #: keep the tier-1 budget modest; the CI backend-identity job replays
 #: the full regression corpus.
 CHAOS_SEEDS = (1, 2, 3)
-
-
-@contextmanager
-def _kernel(name: str):
-    previous = os.environ.get("PMNET_KERNEL")
-    os.environ["PMNET_KERNEL"] = name
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("PMNET_KERNEL", None)
-        else:
-            os.environ["PMNET_KERNEL"] = previous
 
 
 def _op_maker(index, request_index, rng):
@@ -78,7 +63,7 @@ class TestClosedLoopIdentity:
     def test_latencies_events_and_state_match(self):
         observables = {}
         for backend in BACKENDS:
-            with _kernel(backend):
+            with pinned(kernel=backend):
                 observables[backend] = _closed_loop_observables()
         for backend in BACKENDS:
             assert observables[backend]["kernel"] == backend
@@ -97,7 +82,7 @@ class TestChaosIdentity:
         for seed in CHAOS_SEEDS:
             verdicts = {}
             for backend in BACKENDS:
-                with _kernel(backend):
+                with pinned(kernel=backend):
                     verdicts[backend] = run_plan(generate_plan(seed)).to_dict()
             diverged = [backend for backend in BACKENDS[1:]
                         if verdicts[backend] != verdicts["heap"]]
@@ -113,7 +98,7 @@ class TestRegistryIdentity:
 
         tables = {}
         for backend in BACKENDS:
-            with _kernel(backend):
+            with pinned(kernel=backend):
                 run = run_instrumented("fig02", seed=5)
                 tables[backend] = format_breakdown(metrics_report(run))
         assert len(set(tables.values())) == 1, (

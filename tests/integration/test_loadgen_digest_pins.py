@@ -36,7 +36,7 @@ from repro.protocol.packet import reset_request_ids
 from repro.sim.clock import microseconds
 from repro.workloads.loadgen import FlowLoadGenerator, LoadGenConfig
 
-BACKENDS = ("heap", "tiered", "compiled")
+BACKENDS = ("heap", "tiered")
 REQUESTS = 1_500
 
 #: shape -> (sample digest, executed events, final simulated ns).

@@ -17,8 +17,6 @@ All runs use jitter-free stacks so the interesting instants are exact,
 not probabilistic.
 """
 
-import os
-from contextlib import contextmanager
 from dataclasses import replace
 
 from repro.config import SystemConfig
@@ -30,24 +28,9 @@ from repro.sim.clock import transmission_delay
 from repro.workloads.handlers import StructureHandler
 from repro.workloads.kv import OpKind, Operation
 from repro.workloads.pmdk.hashmap import PMHashmap
+from tests.knobs import pinned
 
-FOLD_LEVELS = ("none", "stage", "whole")
-
-
-@contextmanager
-def _fold_level(level):
-    previous_no_fold = os.environ.pop("PMNET_NO_FOLD", None)
-    previous = os.environ.get("PMNET_FOLD")
-    try:
-        os.environ["PMNET_FOLD"] = level
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("PMNET_FOLD", None)
-        else:
-            os.environ["PMNET_FOLD"] = previous
-        if previous_no_fold is not None:
-            os.environ["PMNET_NO_FOLD"] = previous_no_fold
+FOLD_LEVELS = ("none", "whole")
 
 
 def _set_impairments(channel, impairments):
@@ -65,7 +48,7 @@ def _jitterless(config):
 
 def _build(level, clients, enable_cache=False, seed=3):
     reset_request_ids()
-    with _fold_level(level):
+    with pinned(fold=level):
         cfg = _jitterless(SystemConfig(seed=seed).with_clients(clients))
         handler = StructureHandler(PMHashmap())
         deployment = build_pmnet_switch(cfg, handler=handler,
@@ -145,7 +128,6 @@ class TestExactBusyUntilArrival:
         for offset in offsets:
             runs = {level: _staggered_run(level, offset)
                     for level in FOLD_LEVELS}
-            assert runs["stage"] == runs["none"], f"offset={offset}"
             assert runs["whole"] == runs["none"], f"offset={offset}"
 
 
@@ -190,7 +172,6 @@ class TestImpairmentOpensMidFoldedRequest:
             close_at = send_ns + serialize + 50_000
             runs = {level: _impaired_window_run(level, open_at, close_at)
                     for level in FOLD_LEVELS}
-            assert runs["stage"] == runs["none"], f"open_at={open_at}"
             assert runs["whole"] == runs["none"], f"open_at={open_at}"
             # The window really did bite: the dropped first attempt
             # shows up as at least one retransmission in every mode.
@@ -242,7 +223,6 @@ class TestCacheHitNeverWholeFolds:
                            if action is MATAction.LOG_AND_FORWARD)
             else:
                 assert not any(ext for _action, ext in seen)
-        assert results["stage"] == results["none"]
         assert results["whole"] == results["none"]
         # The read was served from the device cache, not the server.
         assert results["none"][1][1] == "cache"

@@ -229,7 +229,7 @@ class TestFoldedFastPath:
             return [t for t, _f in b.arrivals]
 
         folded = burst(Simulator())
-        monkeypatch.setenv("PMNET_NO_FOLD", "1")
+        monkeypatch.setenv("PMNET_FOLD", "none")
         unfolded = burst(Simulator())
         assert folded == unfolded
         assert folded == [1100, 2100, 3100, 4100, 5100]
@@ -346,7 +346,7 @@ class TestReservations:
             return [(t, f.payload) for t, f in b.arrivals]
 
         folded = scenario(Simulator())
-        monkeypatch.setenv("PMNET_NO_FOLD", "1")
+        monkeypatch.setenv("PMNET_FOLD", "none")
         unfolded = scenario(Simulator())
         assert folded == unfolded
         assert folded == [(1100, "A"), (2100, "B"), (3100, "C")]
@@ -382,7 +382,7 @@ class TestReservations:
             return [(t, f.payload) for t, f in b.arrivals]
 
         folded = scenario(Simulator(), fold=True)
-        monkeypatch.setenv("PMNET_NO_FOLD", "1")
+        monkeypatch.setenv("PMNET_FOLD", "none")
         unfolded = scenario(Simulator(), fold=False)
         assert folded == unfolded
 

@@ -1,9 +1,8 @@
 """Unit tests for the raw event queues (ordering, cancellation, tiers).
 
-Every contract test runs against all scheduler backends — the single
-binary heap, the tiered lane/calendar/far queue, and the compiled
-queue (which inherits the tiered structures but is drained by a
-generated loop) — because they must be observably interchangeable.
+Every contract test runs against both scheduler backends — the single
+binary heap and the tiered lane/calendar/far queue — because they must
+be observably interchangeable.
 Tiered-only structure tests (routing, compaction of each tier) live in
 their own class.
 """
@@ -11,16 +10,14 @@ their own class.
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.compiled import CompiledEventQueue
 from repro.sim.event import (
     COMPACT_MIN_CANCELLED,
-    EventQueue,
     HeapEventQueue,
     TieredEventQueue,
     make_event_queue,
 )
 
-BACKENDS = [HeapEventQueue, TieredEventQueue, CompiledEventQueue]
+BACKENDS = [HeapEventQueue, TieredEventQueue]
 
 
 @pytest.fixture(params=BACKENDS, ids=lambda cls: cls.backend)
@@ -186,14 +183,9 @@ class TestTieredRouting:
 
 
 class TestBackendSelection:
-    def test_default_alias_is_heap(self):
-        assert EventQueue is HeapEventQueue
-
     def test_factory_builds_each_backend(self):
         assert make_event_queue("heap").backend == "heap"
         assert make_event_queue("tiered").backend == "tiered"
-        # "compiled" registers itself on first import (done above).
-        assert make_event_queue("compiled").backend == "compiled"
 
     def test_factory_rejects_unknown_backend(self):
         with pytest.raises(SimulationError):

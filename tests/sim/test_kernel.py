@@ -237,47 +237,6 @@ class TestKernelBackends:
         with pytest.raises(ConfigurationError):
             Simulator()
 
-    def test_compiled_backend_resolves_natively(self):
-        # repro.sim.compiled ships now: no fallback, no warning.
-        import warnings
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            sim = Simulator(kernel="compiled")
-        assert sim.kernel == "compiled"
-        assert not [w for w in caught
-                    if issubclass(w.category, RuntimeWarning)]
-
-    def test_compiled_backend_falls_back_with_warning_exactly_once(
-            self, monkeypatch):
-        # With the module unavailable (simulated via a poisoned
-        # sys.modules entry, which makes its import raise ImportError),
-        # PMNET_KERNEL=compiled must degrade to tiered and warn exactly
-        # once per process; the reset hook re-arms the latch for tests.
-        import sys
-        import warnings
-
-        from repro.sim.kernel import reset_compiled_fallback_warning
-
-        monkeypatch.setitem(sys.modules, "repro.sim.compiled", None)
-        monkeypatch.setenv("PMNET_KERNEL", "compiled")
-        reset_compiled_fallback_warning()
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                first = Simulator()
-                second = Simulator()
-            assert first.kernel == "tiered"
-            assert second.kernel == "tiered"
-            fallbacks = [w for w in caught
-                         if issubclass(w.category, RuntimeWarning)
-                         and "falling back" in str(w.message)]
-            assert len(fallbacks) == 1
-        finally:
-            # Leave the latch armed-off for the rest of the process: the
-            # module is importable again once the monkeypatch unwinds.
-            reset_compiled_fallback_warning()
-
     def test_kernel_stats_attribute_pops_to_tiers(self):
         sim = Simulator(kernel="tiered")
         sim.schedule(10, lambda: sim.call_soon(lambda: None))  # near + lane

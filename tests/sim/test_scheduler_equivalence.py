@@ -17,8 +17,6 @@ everything in the calendar).
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -26,8 +24,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Simulator
+from tests.knobs import pinned
 
-BACKENDS = ("heap", "tiered", "compiled")
+BACKENDS = ("heap", "tiered")
 
 #: Calendar widths the tiered backend is exercised at: degenerate
 #: (everything far), narrow (constant tier crossings), default, and
@@ -72,15 +71,8 @@ def _programs():
 def _interpret(program, kernel: str, horizon: int, drive: str):
     """Run ``program`` on a fresh simulator; return its observables."""
     nodes, roots = program
-    previous = os.environ.get("PMNET_KERNEL_HORIZON")
-    os.environ["PMNET_KERNEL_HORIZON"] = str(horizon)
-    try:
+    with pinned(horizon=horizon):
         sim = Simulator(seed=0, kernel=kernel)
-    finally:
-        if previous is None:
-            os.environ.pop("PMNET_KERNEL_HORIZON", None)
-        else:
-            os.environ["PMNET_KERNEL_HORIZON"] = previous
 
     trace = []
     handles = {}

@@ -42,22 +42,7 @@ class TestTracer:
         assert tracer.records == [] and tracer.dropped == 0
 
 
-class TestGlobalTracerDeprecation:
-    def test_module_attribute_warns(self):
-        import repro.sim.trace as trace_module
-
-        with pytest.warns(DeprecationWarning, match="GLOBAL_TRACER"):
-            tracer = trace_module.GLOBAL_TRACER
-        assert isinstance(tracer, Tracer)
-        assert tracer.enabled is False
-
-    def test_package_reexport_warns(self):
-        import repro.sim as sim_package
-
-        with pytest.warns(DeprecationWarning, match="GLOBAL_TRACER"):
-            tracer = sim_package.GLOBAL_TRACER
-        assert isinstance(tracer, Tracer)
-
+class TestInjectedTracer:
     def test_simulator_carries_injected_tracer(self):
         from repro.obs.context import Observability
         from repro.sim.kernel import Simulator

@@ -131,7 +131,7 @@ class TestBenchKernel:
 
 class TestBenchPipeline:
     def test_writes_result_json(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("PMNET_NO_FOLD", raising=False)
+        monkeypatch.delenv("PMNET_FOLD", raising=False)
         out = tmp_path / "BENCH_pipeline.json"
         assert main(["bench-pipeline", "--clients", "4", "--requests", "5",
                      "--output", str(out)]) == 0
@@ -153,7 +153,7 @@ class TestBenchPipeline:
 
 class TestProfile:
     def test_prints_call_site_table(self, capsys, monkeypatch):
-        monkeypatch.delenv("PMNET_NO_FOLD", raising=False)
+        monkeypatch.delenv("PMNET_FOLD", raising=False)
         assert main(["profile", "--clients", "2", "--requests", "5"]) == 0
         out = capsys.readouterr().out
         assert "fold level 'whole'" in out
@@ -161,7 +161,7 @@ class TestProfile:
         assert "TOTAL" in out
 
     def test_json_writes_enveloped_report(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("PMNET_NO_FOLD", raising=False)
+        monkeypatch.delenv("PMNET_FOLD", raising=False)
         out = tmp_path / "profile.json"
         assert main(["profile", "--clients", "2", "--requests", "5",
                      "--json", str(out)]) == 0
@@ -173,7 +173,7 @@ class TestProfile:
         assert "latency_samples" not in report["payload"]
 
     def test_no_fold_flag_profiles_unfolded_paths(self, capsys, monkeypatch):
-        monkeypatch.delenv("PMNET_NO_FOLD", raising=False)
+        monkeypatch.delenv("PMNET_FOLD", raising=False)
         assert main(["profile", "--clients", "2", "--requests", "5",
                      "--no-fold"]) == 0
         out = capsys.readouterr().out
@@ -182,11 +182,16 @@ class TestProfile:
         assert "Channel._launch" in out or "Switch._forward" in out
 
     def test_fold_flag_selects_the_level(self, capsys, monkeypatch):
-        monkeypatch.delenv("PMNET_NO_FOLD", raising=False)
+        monkeypatch.delenv("PMNET_FOLD", raising=False)
         assert main(["profile", "--clients", "2", "--requests", "5",
-                     "--fold", "stage"]) == 0
+                     "--fold", "none"]) == 0
         out = capsys.readouterr().out
-        assert "fold level 'stage'" in out
+        assert "fold level 'none'" in out
+
+    def test_fold_flag_rejects_removed_levels(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["profile", "--fold", "stage"])
+        assert exit_info.value.code == 2
 
 
 class TestMetrics:

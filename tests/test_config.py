@@ -15,6 +15,9 @@ from repro.config import (
     StackProfile,
     SystemConfig,
     baseline_rtt_estimate,
+    fold_level,
+    kernel_backend,
+    kernel_horizon_ns,
     pmnet_rtt_estimate,
 )
 from repro.errors import ConfigurationError
@@ -118,6 +121,43 @@ class TestQuickScale:
         monkeypatch.setenv("REPRO_FULL", "1")
         scale = Scale.pick(quick=True)
         assert scale.clients == DEFAULT_CONFIG.num_clients
+
+
+class TestKnobs:
+    """``PMNET_FOLD`` and ``PMNET_KERNEL`` accept only the modes that
+    exist, and a rejected value says what is accepted."""
+
+    def test_defaults(self, monkeypatch):
+        for knob in ("PMNET_FOLD", "PMNET_KERNEL", "PMNET_KERNEL_HORIZON"):
+            monkeypatch.delenv(knob, raising=False)
+        assert fold_level() == 2
+        assert kernel_backend() == "tiered"
+        assert kernel_horizon_ns() == 4096
+
+    @pytest.mark.parametrize("value,level", [
+        ("none", 0), ("off", 0), ("0", 0), ("whole", 2), ("2", 2),
+        (" Whole ", 2)])
+    def test_fold_spellings(self, monkeypatch, value, level):
+        monkeypatch.setenv("PMNET_FOLD", value)
+        assert fold_level() == level
+
+    @pytest.mark.parametrize("value", ["stage", "1"])
+    def test_removed_fold_level_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("PMNET_FOLD", value)
+        with pytest.raises(ConfigurationError) as error:
+            fold_level()
+        message = str(error.value)
+        assert "PMNET_FOLD" in message
+        for accepted in ("none", "off", "0", "whole", "2"):
+            assert repr(accepted) in message
+
+    def test_removed_kernel_backend_rejected(self, monkeypatch):
+        monkeypatch.setenv("PMNET_KERNEL", "compiled")
+        with pytest.raises(ConfigurationError) as error:
+            kernel_backend()
+        message = str(error.value)
+        assert "PMNET_KERNEL" in message
+        assert "'heap'" in message and "'tiered'" in message
 
 
 class TestCalibration:
