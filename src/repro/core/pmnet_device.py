@@ -145,8 +145,8 @@ class PMNetDevice(Node):
         the deterministic head of this device's pipeline.
 
         Classification is pure (it reads only the frame), so it can run
-        at reservation time just as the folded :meth:`handle_frame` runs it at
-        arrival time.  Two actions extend — their interior hops mutate
+        when the inbound channel schedules the delivery just as the
+        folded :meth:`handle_frame` runs it at arrival time.  Two actions extend — their interior hops mutate
         nothing, every side effect lives in the barrier:
 
         * **LOG_AND_FORWARD** rides ingress + PM-access and lands in

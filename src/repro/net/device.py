@@ -88,24 +88,9 @@ class Node:
         return None
 
     def fail(self) -> None:
-        """Mark the node failed (volatile state handling is subclass duty).
-
-        A switch's folded forwards commit their delivery at reservation
-        time, before the instant the unfolded model would have
-        re-checked ``failed`` (see :meth:`Channel.send_in`).  Revoking
-        every not-yet-started reservation on this node's outgoing
-        channels converts each one back into its unfolded fire-time
-        callback, so a crash inside a fold window drops exactly the
-        frames the unfolded model drops.  Started reservations
-        (serialization underway) are kept: the unfolded timeline had
-        also committed those to the wire.  Nodes that never reserve
-        (hosts, PMNet devices) find nothing to revoke.
-        """
+        """Mark the node failed (volatile state handling is subclass duty)."""
         self.failed = True
         self.invalidate_arrival_plans()
-        for port in self.ports:
-            if port.channel is not None:
-                port.channel.revoke_unstarted()
 
     def recover(self) -> None:
         """Bring the node back after an intermittent failure."""

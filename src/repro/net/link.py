@@ -26,7 +26,7 @@ it is rewritten **in place** into the unfolded ``_serialized`` callback
 — its queue slot (serialize-end time, seq allocated at serialize start)
 is exactly where the unfolded record would sit, so the queue restarts
 with bit-identical tie-breaking and the transmission finishes on the
-unfolded code path.  In-place rewrites and revocations only ever touch
+unfolded code path.  In-place rewrites only ever touch
 a record's callback, args, and deferred chain — never its ``(time,
 seq)`` — which is what keeps them legal under every scheduler backend:
 the record keeps its slot whether it lives in the heap, the now lane,
@@ -37,19 +37,6 @@ instant the unfolded path would have.  Impaired channels never fold — their pe
 random draws and the loss/duplicate/reorder branching stay on the
 original path, preserving RNG stream positions draw for draw.
 
-Folding interacts with mid-run crashes through revocation: a folded
-send commits its delivery at reservation time, while the unfolded
-timeline re-checks the sender's liveness when the fire-time callback
-runs.  :meth:`Channel.send_in` therefore records an ``on_revoke``
-callback (the owner's unfolded fire-time callback) with every
-reservation, and ``Node.fail`` revokes every reservation that has not
-started serializing — converting each back into that callback at its
-original queue slot, where the owner's ``failed`` check drops the frame
-exactly as the unfolded run would.  Switches are the only nodes that
-reserve: host stack sends and PMNet device egress always schedule their
-own fire-time callback, because at those sites most reservations were
-revoked again before they started.
-
 **Whole-request folding** extends a folded chain *through the receiving
 node*: the channel asks the sink node for an
 :meth:`~repro.net.device.Node.arrival_extension` — extra deterministic
@@ -59,16 +46,16 @@ propagation chain, ending in the node's own barrier callback instead of
 the device's own folded pipeline would have allocated the corresponding
 event, so tie-breaking is unchanged; the barrier re-checks the
 receiver's liveness just as that pipeline's interior callbacks would.
-Extended records revoke in place like base ones — a queueing frame, a
-competing send or a node failure converts the record back to the exact
-unfolded shape.
+Extended records convert in place like base ones — a frame queueing
+behind one, or an impairment change, rewrites the record back to the
+exact unfolded shape.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Deque, Optional
+from typing import TYPE_CHECKING, Deque, Optional
 
 from repro.config import folding_enabled
 from repro.errors import SimulationError
@@ -132,29 +119,6 @@ def _remaining_hops(call) -> int:
     return 1 if defer else 0
 
 
-class _Reservation:
-    """Bookkeeping for one :meth:`Channel.send_in` reservation.
-
-    ``hops`` is the chain length at construction (2 for the base
-    serialize + propagation chain, more when an arrival extension was
-    appended): a record is *started* once its remaining hop count drops
-    below ``hops``, and past the serialize-end slot once it drops to
-    ``hops - 2``.
-    """
-
-    __slots__ = ("call", "frame", "prev_busy_until", "wire_bytes",
-                 "on_revoke", "hops")
-
-    def __init__(self, call, frame, prev_busy_until, wire_bytes, on_revoke,
-                 hops):
-        self.call = call
-        self.frame = frame
-        self.prev_busy_until = prev_busy_until
-        self.wire_bytes = wire_bytes
-        self.on_revoke = on_revoke
-        self.hops = hops
-
-
 class Channel:
     """One direction of a link: ``source`` port -> ``sink`` port."""
 
@@ -181,24 +145,18 @@ class Channel:
         #: sub-nanosecond point the unfolded ``_serialized`` would run
         #: (see :meth:`send`).
         self._transmitting = False
-        #: The heap record of the newest *folded* transmission whose
-        #: serialization has begun (a plain-send fold, or a reservation
-        #: observed past its start).  While ``now < _busy_until`` with
-        #: ``_transmitting`` False, this record owns the transmitter; a
-        #: frame queueing behind it converts it in place into the
-        #: unfolded ``_serialized`` callback (see :meth:`_unfold_inflight`).
+        #: The heap record of the newest *folded* transmission.  While
+        #: ``now < _busy_until`` with ``_transmitting`` False, this record
+        #: owns the transmitter; a frame queueing behind it converts it
+        #: in place into the unfolded ``_serialized`` callback (see
+        #: :meth:`_unfold_inflight`).
         self._serializing = None
-        #: The :class:`_Reservation` backing :attr:`_serializing` when it
-        #: came from :meth:`send_in` (``None`` for plain-send folds) —
-        #: needed to interpret an *extended* record's remaining hops and
-        #: to recover its frame on conversion.
-        self._serializing_res = None
-        #: Future-start :class:`_Reservation` records taken by
-        #: :meth:`send_in`, oldest first.  A plain :meth:`send` arriving
-        #: before a reservation's start revokes it (see
-        #: :meth:`revoke_unstarted`), so reservations can never overtake
-        #: a frame that reached the channel earlier.
-        self._reservations: Deque[_Reservation] = deque()
+        #: The frame :attr:`_serializing` carries (an extended record's
+        #: args no longer hold it) and its arrival-extension hop count:
+        #: the record is past its serialize-end slot once no more than
+        #: ``_serializing_ext`` deferred hops remain.
+        self._serializing_frame = None
+        self._serializing_ext = 0
         #: Construction-time half of the fold gate; impairments are
         #: re-checked per send because experiments swap them mid-run
         #: (e.g. a timed loss window).  ``propagation_ns > 0`` keeps the
@@ -278,21 +236,17 @@ class Channel:
 
     def send(self, frame: Frame) -> None:
         """Enqueue a frame for transmission (drop-tail when full)."""
-        if self._reservations:
-            self.revoke_unstarted()
         serializing = self._serializing
         if serializing is not None:
-            res = self._serializing_res
             defer = serializing.defer_ns  # _remaining_hops, inlined
             if ((len(defer) if type(defer) is tuple else 1 if defer else 0)
-                    <= (res.hops - 2 if res is not None else 0)):
+                    <= self._serializing_ext):
                 # The folded record has been re-sequenced past its
                 # serialize-end slot (only arrival-extension hops, if
                 # any, remain): the instant the unfolded ``_serialized``
                 # would have run is behind us, so the transmitter really
                 # is free.
                 self._serializing = serializing = None
-                self._serializing_res = None
         # At exactly ``now == _busy_until`` a still-deferred record means
         # the unfolded ``_serialized`` (same heap slot) has NOT run yet
         # relative to this event — the kernel re-sequences folded records
@@ -307,11 +261,10 @@ class Channel:
             # Fast path: idle transmitter, empty queue, no impairments —
             # serialization + propagation fold into one delivery event.
             # The receiving node may extend the chain through its own
-            # pipeline head exactly as on the :meth:`send_in` path; a
-            # plain send starts serializing immediately, so the record
-            # goes straight into the :attr:`_serializing` slot (with a
-            # reservation alongside when extended, so hop accounting and
-            # frame recovery keep working on conversion).
+            # pipeline head (whole-request folding), ending in a barrier
+            # callback that re-checks its liveness.  The send starts
+            # serializing immediately, so the record goes straight into
+            # the :attr:`_serializing` slot.
             wire_bytes, serialize = (self._costs.get(frame.payload_bytes)
                                      or self._cost_of(frame.payload_bytes))
             self.bytes_sent.value += wire_bytes
@@ -329,15 +282,8 @@ class Channel:
                 serialize, hops if len(hops) > 1 else hops[0],
                 callback, *args)
             self._serializing = call
-            if extension is not None:
-                # ``hops`` counts the serialize hop like send_in's chains
-                # (it lives in the record's surface delay here), so the
-                # started/free arithmetic stays uniform.
-                self._serializing_res = _Reservation(
-                    call, frame, self._busy_until, wire_bytes, None,
-                    len(hops) + 1)
-            else:
-                self._serializing_res = None
+            self._serializing_frame = frame
+            self._serializing_ext = len(hops) - 1
             self._busy_until = now + serialize
             return
         if len(self._queue) >= self.profile.queue_capacity_packets:
@@ -368,126 +314,12 @@ class Channel:
                     f"channel {self.name}: busy transmitter with no "
                     f"in-flight record to convert")
 
-    def send_in(self, pre_delay_ns: int, frame: Frame,
-                on_revoke: Callable[[Frame], None]) -> bool:
-        """Reserve the transmitter for a send ``pre_delay_ns`` from now.
-
-        A node whose next hop toward the wire is a fixed delay (a
-        switch's forwarding latency) can fold that delay into the wire
-        chain: pre-delay + serialization + propagation become one
-        deferred event that executes only at delivery.  The reservation is taken
-        only when the transmitter is predictably idle at send time:
-        empty queue, no transmission in progress, any current busy
-        period (including earlier reservations) over by
-        ``now + pre_delay_ns``, and no impairments.  Returns ``False``
-        otherwise — the caller must then schedule its own callback and
-        call :meth:`send` at the original time (the unfolded path).
-
-        A reservation is *provisional* until its serialization start
-        time: if any plain :meth:`send` reaches the channel during the
-        pre-delay gap — when the unfolded timeline would have had an
-        idle transmitter — or the owning node fails, then
-        :meth:`revoke_unstarted` converts the reservation back into the
-        exact event the unfolded path would have executed.
-        Single-writer rule: only the node owning the source port sends
-        on a channel, so every competing send does come through
-        :meth:`send` and triggers that revocation.
-
-        ``on_revoke`` is the unfolded fire-time callback the reservation
-        replaces: when revoked, the reservation's heap slot runs
-        ``on_revoke(frame)`` so the owner's liveness check (``failed``)
-        executes exactly as it would have unfolded.  Callers that
-        incremented counters at fold time must roll them back inside
-        ``on_revoke``.  A sender that can never fail mid-run may pass
-        :meth:`send` itself.
-        """
-        start = self.sim.now + pre_delay_ns
-        if not (self._fold and not self._transmitting and not self._queue
-                and start >= self._busy_until
-                and not self.impairments.enabled):
-            return False
-        if self._reservations:
-            self._pop_started()
-        wire_bytes, serialize = (self._costs.get(frame.payload_bytes)
-                                 or self._cost_of(frame.payload_bytes))
-        self.bytes_sent.value += wire_bytes
-        self.folded_sends.value += 1
-        hops = (serialize, self.profile.propagation_ns)
-        callback, args = self._deliver, (frame,)
-        extension = (self._sink_extension(frame) if self._sink_extends
-                     else None)
-        if extension is not None:
-            # Whole-request folding: the receiving node extends the
-            # chain through its own deterministic pipeline head, ending
-            # in a barrier callback that re-checks its liveness.
-            extra_hops, ext_callback, ext_args = extension
-            hops = hops + extra_hops
-            callback, args = self._deliver_ext, (ext_callback, ext_args)
-        call = self.sim.schedule_deferred(pre_delay_ns, hops, callback, *args)
-        self._reservations.append(_Reservation(
-            call, frame, self._busy_until, wire_bytes, on_revoke,
-            len(hops)))
-        self._busy_until = start + serialize
-        return True
-
     def _deliver_ext(self, callback, args) -> None:
         """Barrier slot of an extension-carrying chain: count the wire
         delivery (the chain subsumed the ``_deliver`` hop) and run the
         receiving node's barrier callback."""
         self.delivered.value += 1
         callback(*args)
-
-    def _pop_started(self) -> None:
-        """Drop reservations whose serialization began from tracking.
-
-        The kernel consumed the chain's first hop (the remaining hop
-        count dropped below the construction-time length), i.e.
-        serialization began — they can no longer be revoked.  The newest
-        one popped owns the transmitter whenever ``now < _busy_until``,
-        so it becomes the :attr:`_serializing` record a queueing frame
-        may convert.
-        """
-        res = self._reservations
-        while res:
-            head = res[0]
-            defer = head.call.defer_ns  # _remaining_hops, inlined
-            if ((len(defer) if type(defer) is tuple else 1 if defer else 0)
-                    >= head.hops):
-                break
-            res.popleft()
-            self._serializing = head.call
-            self._serializing_res = head
-
-    def revoke_unstarted(self) -> None:
-        """Fall every not-yet-started reservation back to the unfolded
-        timeline (a competing plain send arrived during its gap, or the
-        owning node failed).
-
-        A reservation whose serialization has begun is indistinguishable
-        from a folded in-flight frame and stays.  One that is still in
-        its pre-delay gap is converted **in place**: its heap record —
-        whose (time, seq) slot is exactly where the unfolded send
-        callback's record sits, because the seq was allocated at the
-        same instant — becomes the reservation's ``on_revoke`` callback
-        at the original start time, and the transmitter-busy horizon
-        rolls back to what it was before the reservation.  The callback
-        then re-runs the owner's unfolded fire-time path — liveness
-        check included — re-counting bytes on whichever path it takes.
-        """
-        self._pop_started()
-        res = self._reservations
-        restored = False
-        while res:
-            entry = res.popleft()
-            if not restored:
-                self._busy_until = entry.prev_busy_until
-                restored = True
-            self.bytes_sent.rollback(entry.wire_bytes)
-            self.folded_sends.rollback(1)
-            call = entry.call
-            call.defer_ns = 0
-            call.callback = entry.on_revoke
-            call.args = (entry.frame,)
 
     def on_impairments_changed(self) -> None:
         """Fall in-flight folded work back to the unfolded path after a
@@ -496,8 +328,7 @@ class Channel:
         Folding commits draws-free delivery up front, but the unfolded
         timeline draws loss/duplicate/reorder at each frame's
         serialize-end — so any folded record whose serialize-end lies
-        *after* this instant must be converted back: reservations still
-        in their pre-delay gap revoke wholesale, and a record
+        *after* this instant must be converted back: a record
         mid-serialization is rewritten in place into ``_serialized`` at
         its serialize-end slot, where ``_launch`` re-checks impairments
         and draws exactly as the unfolded run does.  Records already
@@ -510,14 +341,10 @@ class Channel:
         entirely while impairments are enabled).
         """
         self.sink.node.invalidate_arrival_plans()
-        if self._reservations:
-            self.revoke_unstarted()
         call = self._serializing
-        if call is not None:
-            ext = (self._serializing_res.hops - 2
-                   if self._serializing_res is not None else 0)
-            if _remaining_hops(call) == ext + 1:
-                self._unfold_inflight()
+        if (call is not None
+                and _remaining_hops(call) == self._serializing_ext + 1):
+            self._unfold_inflight()
 
     def _unfold_inflight(self) -> None:
         """Convert the in-flight folded transmission into ``_serialized``.
@@ -536,16 +363,14 @@ class Channel:
         ``_launch`` does, and restarts the queue.
         """
         call = self._serializing
-        res = self._serializing_res
-        ext = res.hops - 2 if res is not None else 0
-        assert call is not None and _remaining_hops(call) == ext + 1, \
+        assert (call is not None and _remaining_hops(call)
+                == self._serializing_ext + 1), \
             "busy transmitter without a convertible folded record"
         call.callback = self._serialized
-        call.args = (res.frame,) if res is not None else call.args
+        call.args = (self._serializing_frame,)
         call.defer_ns = 0
         self._transmitting = True
         self._serializing = None
-        self._serializing_res = None
 
     def _transmit_next(self) -> None:
         if not self._queue:

@@ -30,9 +30,9 @@ fold-identity and determinism suite ultimately rests on):
 
 1. every push allocates a monotonically increasing ``seq``, so the
    execution order is the exact total order by ``(time, seq)``;
-2. records are mutated in place but never physically moved by
-   revocation (``net/link.py`` rewrites a folded record's callback at
-   its existing queue slot) — both backends keep a record's slot
+2. records are mutated in place but never physically moved by an
+   in-place conversion (``net/link.py`` rewrites a folded record's
+   callback at its existing queue slot) — both backends keep a record's slot
    identity stable between push and pop;
 3. cancelled records never execute and never count;
 4. a *deferred* record re-sequences (fresh seq at its surfacing

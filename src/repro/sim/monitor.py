@@ -19,9 +19,7 @@ class Counter:
 
     Per-frame hot paths bump ``value`` directly (``counter.value += 1``)
     instead of calling :meth:`increment`: the exported value is the
-    same, without a call frame and a sign check per packet.  Undoing a
-    count always goes through :meth:`rollback`, whose bound check is
-    what exposes a reservation revoked twice.
+    same, without a call frame and a sign check per packet.
     """
 
     __slots__ = ("name", "value")
@@ -36,14 +34,6 @@ class Counter:
         if amount < 0:
             raise ValueError(f"counter increment must be >= 0, got {amount}")
         self.value += amount
-
-    def rollback(self, amount: int) -> None:
-        """Undo a prior :meth:`increment` (e.g. a revoked channel
-        reservation that re-counts when the send actually happens)."""
-        if amount < 0 or amount > self.value:
-            raise ValueError(
-                f"cannot roll back {amount} from counter at {self.value}")
-        self.value -= amount
 
     def __int__(self) -> int:
         return self.value

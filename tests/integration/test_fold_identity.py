@@ -1,15 +1,15 @@
 """The folding correctness bar: fold on == fold off, byte for byte.
 
-The latency-folded fast paths (``net/link.py`` reservations and chains,
-``net/switch.py`` forwarding folds, ``core/pmnet_device.py`` pipeline folds)
-claim to change only the executed-event count, never a delivery time, a
-queue decision, or an RNG draw.  This file holds that claim to account:
+The latency-folded fast paths (``net/link.py`` plain-send folds and
+whole-request chains, ``core/pmnet_device.py`` pipeline folds) claim to
+change only the executed-event count, never a delivery time, a queue
+decision, or an RNG draw.  This file holds that claim to account:
 
 * a hypothesis property over random star topologies — random frame
   sizes, send times, and sources, driven through a real ``Switch`` so
-  reservations, revocations, queueing, and mid-fold conversions all
-  trigger — must produce identical arrival logs with ``PMNET_FOLD``
-  set to ``none`` and ``whole``;
+  folds, queueing, and mid-fold conversions all trigger — must produce
+  identical arrival logs with ``PMNET_FOLD`` set to ``none`` and
+  ``whole``;
 * a second property with frame sizes and send times quantized so that
   sends collide with serialization boundaries on the same nanosecond,
   stressing the tie-break claim of the in-place fold conversion;
@@ -18,11 +18,12 @@ queue decision, or an RNG draw.  This file holds that claim to account:
   PMNet device power-cut at swept instants across the request's
   pipeline windows (the Fig 12 scenarios), a client host dying — or
   dying *and* rebooting — with a send inside its stack — must leave
-  every observable identical.  A switch's folded sends committed before
-  its crash are revoked back to their unfolded fire-time checks; host
-  stack crossings never fold, so each is its own event whose
-  ``_transmit``/``_deliver`` epoch check drops a frame that was inside
-  the stack when the host crashed; and
+  every observable identical.  A switch forwards through its own
+  ``_forward`` event at every fold level, so its ``failed`` check drops
+  a frame still inside the forwarding window; host stack crossings
+  never fold, so each is its own event whose ``_transmit``/``_deliver``
+  epoch check drops a frame that was inside the stack when the host
+  crashed; and
 * a full experiment (including the impaired fig07 loss scenarios) must
   format byte-identically in both modes.
 """
@@ -324,7 +325,7 @@ class TestCrashIdentity:
     @pytest.mark.parametrize("crash_at", [
         500,     # first frame still serializing on the uplink
         1137,    # exactly at the switch's arrival instant
-        1300,    # inside the forwarding window (reservation unstarted)
+        1300,    # inside the forwarding window
         1437,    # exactly at the forwarding instant
         2100,    # downlink serialization underway
         12_345,  # steady-state mid-burst

@@ -3,10 +3,10 @@
 Three edges where the whole-request fold is most likely to cheat:
 
 * a second request hitting a shared channel at **exactly** its
-  ``busy_until`` nanosecond — the reservation free-check must treat the
+  ``busy_until`` nanosecond — the fold's free-check must treat the
   boundary instant as busy, like the unfolded timeline does;
 * an impairment window opening **mid-folded-request** — the in-flight
-  fold must be revoked and the request replayed through the unfolded
+  fold must be unfolded and the request replayed through the unfolded
   impairment draws (here: a loss window that must drop the frame and
   force a retransmission in every mode);
 * **cache-hit requests must never whole-request fold** — the bypass
@@ -161,7 +161,7 @@ class TestImpairmentOpensMidFoldedRequest:
     def test_window_opening_mid_request_revokes_and_replays(self):
         # The first request's whole fold commits at t=0: stack send
         # cost, then wire serialization.  Opening a 100 %-loss window
-        # inside the stack window (reservation unstarted -> revoked)
+        # inside the stack window (before the frame reaches the wire)
         # and inside the serialization window (record mid-flight ->
         # unfolded in place) must drop the frame and force the same
         # retransmission on every timeline.

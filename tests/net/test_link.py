@@ -263,74 +263,6 @@ class TestFoldedFastPath:
         assert int(link.forward.dropped_loss) == 1
         assert len(b.arrivals) == 1
 
-
-class TestReservations:
-    def test_reservation_folds_pre_delay_into_one_event(self):
-        sim = Simulator()
-        a, b, _link = _pair(sim, _fast_profile())
-        channel = a.ports[0].channel
-        assert channel.send_in(500, Frame("a", "b", None, 1250),
-                               channel.send) is True
-        sim.run()
-        # pre 500 + serialize 1000 + propagation 100, one executed event.
-        assert b.arrivals[0][0] == 1600
-        assert sim.executed_events == 1
-
-    def test_reservation_refused_while_transmitter_busy(self):
-        sim = Simulator()
-        a, _b, _link = _pair(sim, _fast_profile())
-        channel = a.ports[0].channel
-        assert channel.send_in(500, Frame("a", "b", None, 1250),
-                               channel.send) is True
-        # Serialization occupies [500, 1500): a 200 ns lead cannot fit.
-        assert channel.send_in(200, Frame("a", "b", None, 1250),
-                               channel.send) is False
-
-    def test_stacked_reservations_serialize_exactly(self):
-        sim = Simulator()
-        a, b, _link = _pair(sim, _fast_profile())
-        channel = a.ports[0].channel
-        assert channel.send_in(500, Frame("a", "b", None, 1250),
-                               channel.send) is True
-        # A longer lead clears the first reservation's busy window.
-        assert channel.send_in(1_700, Frame("a", "b", None, 1250),
-                               channel.send) is True
-        sim.run()
-        assert [t for t, _f in b.arrivals] == [1600, 2800]
-
-    def test_plain_send_revokes_unstarted_reservation(self):
-        sim = Simulator()
-        a, b, link = _pair(sim, _fast_profile())
-        channel = a.ports[0].channel
-        reserved = Frame("a", "b", "reserved", 1250)
-        plain = Frame("a", "b", "plain", 1250)
-        channel.send_in(500, reserved, channel.send)
-        # A competing send lands inside the pre-delay gap: on the
-        # unfolded timeline the transmitter is idle at t=100, so the
-        # plain frame must go first and the reserved one re-send at its
-        # original start time and queue behind it.
-        sim.schedule(100, channel.send, plain)
-        sim.run()
-        assert [(t, f.payload) for t, f in b.arrivals] == [
-            (1200, "plain"), (2200, "reserved")]
-        # Both frames' bytes end up counted exactly once.
-        assert int(link.forward.bytes_sent) == 2500
-        assert int(link.forward.folded_sends) == 1
-
-    def test_started_reservation_is_not_revoked(self):
-        sim = Simulator()
-        a, b, _link = _pair(sim, _fast_profile())
-        channel = a.ports[0].channel
-        reserved = Frame("a", "b", "reserved", 1250)
-        plain = Frame("a", "b", "plain", 1250)
-        channel.send_in(500, reserved, channel.send)
-        # The competing send arrives after serialization began at t=500:
-        # the reservation is already on the wire and keeps its slot.
-        sim.schedule(700, channel.send, plain)
-        sim.run()
-        assert [(t, f.payload) for t, f in b.arrivals] == [
-            (1600, "reserved"), (2600, "plain")]
-
     def test_queued_behind_fold_converts_in_place(self, monkeypatch):
         # A folds; B queues mid-serialization (converting A's record to
         # the unfolded `_serialized` slot); C lands exactly at the
@@ -358,89 +290,12 @@ class TestReservations:
         sim = Simulator()
         profile = NetworkProfile(bandwidth_bps=10e9, propagation_ns=0,
                                  header_overhead_bytes=0)
-        a, b, link = _pair(sim, profile)
+        a, b, _link = _pair(sim, profile)
         channel = a.ports[0].channel
-        assert channel.send_in(500, Frame("a", "b", None, 1250),
-                               channel.send) is False
-        a.ports[0].transmit(Frame("a", "b", None, 1250))
+        channel.send(Frame("a", "b", None, 1250))  # idle transmitter
         sim.run()
-        assert int(link.forward.folded_sends) == 0
-        assert [t for t, _f in b.arrivals] == [1000]
-
-    def test_revocation_matches_unfolded_timeline(self, monkeypatch):
-        def scenario(sim, fold):
-            a, b, _link = _pair(sim, _fast_profile())
-            channel = a.ports[0].channel
-            reserved = Frame("a", "b", "reserved", 1250)
-            plain = Frame("a", "b", "plain", 1250)
-            if fold:
-                assert channel.send_in(500, reserved, channel.send) is True
-            else:
-                sim.schedule(500, channel.send, reserved)
-            sim.schedule(100, channel.send, plain)
-            sim.run()
-            return [(t, f.payload) for t, f in b.arrivals]
-
-        folded = scenario(Simulator(), fold=True)
-        monkeypatch.setenv("PMNET_FOLD", "none")
-        unfolded = scenario(Simulator(), fold=False)
-        assert folded == unfolded
-
-
-class TestRevocationLiveness:
-    def test_revoked_reservation_routes_through_on_revoke(self):
-        # The revoked heap slot must run the owner's fire-time callback,
-        # not re-enter Channel.send directly.
-        sim = Simulator()
-        a, b, _link = _pair(sim, _fast_profile())
-        channel = a.ports[0].channel
-        observed = []
-
-        def on_revoke(frame):
-            observed.append((sim.now, frame.payload))
-            channel.send(frame)
-
-        assert channel.send_in(500, Frame("a", "b", "reserved", 1250),
-                               on_revoke) is True
-        sim.schedule(100, channel.send, Frame("a", "b", "plain", 1250))
-        sim.run()
-        assert observed == [(500, "reserved")]
-        assert [(t, f.payload) for t, f in b.arrivals] == [
-            (1200, "plain"), (2200, "reserved")]
-
-    def test_failed_node_never_transmits_revoked_reservation(self):
-        # Node.fail revokes pending unstarted reservations; the
-        # on_revoke fire-time check then drops the frame, exactly as
-        # the unfolded owner callback would have.
-        sim = Simulator()
-        a, b, _link = _pair(sim, _fast_profile())
-        channel = a.ports[0].channel
-
-        def on_revoke(frame):
-            if a.failed:
-                return
-            channel.send(frame)
-
-        assert channel.send_in(500, Frame("a", "b", "doomed", 1250),
-                               on_revoke) is True
-        sim.schedule(200, a.fail)  # inside the pre-delay gap
-        sim.run()
-        assert b.arrivals == []
-        assert int(channel.bytes_sent) == 0
         assert int(channel.folded_sends) == 0
-
-    def test_started_reservation_survives_node_failure(self):
-        # Serialization began before the crash: the unfolded timeline
-        # had committed the frame to the wire too, so it delivers.
-        sim = Simulator()
-        a, b, _link = _pair(sim, _fast_profile())
-        channel = a.ports[0].channel
-        assert channel.send_in(500, Frame("a", "b", "committed", 1250),
-                               lambda frame: None) is True
-        sim.schedule(700, a.fail)  # serialization started at 500
-        sim.run()
-        assert [(t, f.payload) for t, f in b.arrivals] == [
-            (1600, "committed")]
+        assert [t for t, _f in b.arrivals] == [1000]
 
 
 class TestChannelSummary:

@@ -10,6 +10,7 @@ from repro.sim import Simulator
 import pytest
 
 from repro.errors import NetworkError
+from tests.knobs import pinned
 
 
 class _Host(Node):
@@ -62,10 +63,8 @@ class TestSwitch:
     def test_crash_inside_forward_window_drops_frame(self):
         # The frame reaches the switch at 1137 ns (1037 serialize + 100
         # wire); the forwarding window runs to 1437 ns.  A crash at
-        # 1300 ns lands inside it: the folded reservation must be
-        # revoked, the fold-time forwarded increment rolled back, and
-        # the frame dropped — exactly as the unfolded `_forward`
-        # callback's failed check would have done.
+        # 1300 ns lands inside it: `_forward`'s failed check drops the
+        # frame uncounted.
         sim = Simulator()
         _topo, a, b, sw, _la, _lb = _wired(sim)
         a.ports[0].transmit(Frame("a", "b", None, 1250))
@@ -73,6 +72,22 @@ class TestSwitch:
         sim.run()
         assert b.arrivals == []
         assert int(sw.forwarded) == 0
+
+    @pytest.mark.parametrize("fold", ["none", "whole"])
+    def test_forwarded_counts_at_the_forwarding_instant(self, fold):
+        # Same wiring as above: arrival at 1137 ns, forward at 1437 ns.
+        # Read inside the window, the frame is not yet forwarded at
+        # either fold level.
+        with pinned(fold=fold):
+            sim = Simulator()
+            _topo, a, b, sw, _la, _lb = _wired(sim)
+        a.ports[0].transmit(Frame("a", "b", None, 1250))
+        seen = []
+        sim.schedule_at(1300, lambda: seen.append(int(sw.forwarded)))
+        sim.run()
+        assert seen == [0]
+        assert int(sw.forwarded) == 1
+        assert len(b.arrivals) == 1
 
     def test_recovered_switch_forwards_again(self):
         sim = Simulator()
