@@ -38,11 +38,11 @@ def fold_level() -> int:
     * **0** — every stage is its own scheduled event
       (``PMNET_FOLD=none``): the unfolded reference timeline.
     * **2** — latency folding (the default, ``PMNET_FOLD=whole``):
-      unimpaired channels and the PMNet MAT pipeline fold consecutive
-      deterministic delays into single scheduled events, and
-      uncontended request legs extend across component boundaries —
-      channel arrival chains run straight into the device pipeline,
-      elided timeout timers, and inline completion dispatch.
+      the PMNet MAT pipeline folds consecutive deterministic delays
+      into single scheduled events, and request legs extend across
+      component boundaries — channel arrival chains run straight into
+      the device pipeline, elided timeout timers, and inline completion
+      dispatch.  Channels run the same model at both levels.
 
     Both levels produce byte-identical results (same virtual times,
     same RNG draws, same tie-breaks); only the executed-event count

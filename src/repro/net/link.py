@@ -10,55 +10,42 @@ A :class:`Link` is full duplex: it is built from two independent directed
   dedicated random stream so experiments can inject packet loss exactly
   where the paper's Fig 7 scenarios need it.
 
-The common case — no impairments, transmitter idle, output queue empty —
-takes a **latency-folded fast path**: serialization and propagation are
-summed into one scheduled delivery event instead of a ``_serialized``
-hop followed by a ``_deliver`` hop.  Delivery times are bit-identical to
-the unfolded path (``PMNET_FOLD=none`` keeps it testable); only the
-event count changes.  Folding requires ``propagation_ns > 0``: with a
-zero-delay wire the deferred chain would execute delivery on the seq
-allocated at send time instead of the fresh seq the unfolded ``_launch``
-allocates at the serialize instant, perturbing same-nanosecond
-tie-breaking.  Transmitter occupancy is tracked as an absolute
-``_busy_until`` time so back-to-back sends still serialize exactly: a
-frame arriving mid-serialization queues, and the folded record ahead of
-it is rewritten **in place** into the unfolded ``_serialized`` callback
-— its queue slot (serialize-end time, seq allocated at serialize start)
-is exactly where the unfolded record would sit, so the queue restarts
-with bit-identical tie-breaking and the transmission finishes on the
-unfolded code path.  In-place rewrites only ever touch
-a record's callback, args, and deferred chain — never its ``(time,
-seq)`` — which is what keeps them legal under every scheduler backend:
-the record keeps its slot whether it lives in the heap, the now lane,
-a calendar bucket, or the far tier (``PMNET_KERNEL``; see
-``docs/simulator.md``), and deferred hops re-sequence through the
-owning queue so each hop draws its fresh seq at the exact virtual
-instant the unfolded path would have.  Impaired channels never fold — their per-frame
-random draws and the loss/duplicate/reorder branching stay on the
-original path, preserving RNG stream positions draw for draw.
+Serialization is deterministic, so a FIFO transmitter never needs an
+event to learn when it frees: :meth:`Channel.send` fixes each frame's
+departure when the frame is enqueued — ``start = max(now,
+busy_until)``, ``end = start + serialization`` — and schedules exactly
+one record for it.  An unimpaired frame's record is its delivery at
+``end + propagation_ns``; an impaired frame's is ``_launch`` at
+``end``, which draws loss, duplication and reordering in FIFO order from
+the channel's own stream at the instant the frame leaves the
+transmitter.  The transmitter is free at exactly ``now == busy_until``.
+Occupancy for drop-tail and the queue-depth gauge comes from a deque of
+the frames whose serialize-end is still ahead: those with ``start >
+now`` are waiting, at most one is serializing.  A mid-run impairment
+swap (:meth:`Channel.on_impairments_changed`) reschedules every frame
+not yet off the transmitter as ``_launch`` at its own serialize-end, so
+it meets the new impairments; frames already on the wire keep their
+delivery.
 
-**Whole-request folding** extends a folded chain *through the receiving
-node*: the channel asks the sink node for an
+**Whole-request folding** extends an unimpaired delivery *through the
+receiving node*: the channel asks the sink node for an
 :meth:`~repro.net.device.Node.arrival_extension` — extra deterministic
-hops (a PMNet device's ingress/PM stages) appended to the serialize +
-propagation chain, ending in the node's own barrier callback instead of
-:meth:`_deliver`.  Each extra hop re-sequences at exactly the instant
-the device's own folded pipeline would have allocated the corresponding
-event, so tie-breaking is unchanged; the barrier re-checks the
-receiver's liveness just as that pipeline's interior callbacks would.
-Extended records convert in place like base ones — a frame queueing
-behind one, or an impairment change, rewrites the record back to the
-exact unfolded shape.
+hops (a PMNet device's ingress/PM stages) appended after the delivery
+instant, ending in the node's own barrier callback instead of
+:meth:`Channel._deliver`.  Each extra hop re-sequences at exactly the
+instant the device's own pipeline would have allocated the
+corresponding event, so tie-breaking is unchanged; the barrier
+re-checks the receiver's liveness just as that pipeline's interior
+callbacks would.  The channel model is the same at every fold level;
+``PMNET_FOLD=none`` only makes devices decline the extensions.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Deque, Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.config import folding_enabled
-from repro.errors import SimulationError
 from repro.net.device import Node, Port
 from repro.net.packet import PMNET_UDP_PORT_MAX, PMNET_UDP_PORT_MIN, Frame
 from repro.protocol.packet import PMNetPacket
@@ -76,9 +63,9 @@ class Impairments:
     """Probabilistic misbehaviour of a directed channel.
 
     ``enabled`` is derived, not set: every field write (construction
-    and later mutation alike) refreshes it, so the per-send fold gate is
-    one attribute read yet still sees a loss window opened by mutating
-    a live instance.
+    and later mutation alike) refreshes it, so the per-send impairment
+    check is one attribute read yet still sees a loss window opened by
+    mutating a live instance.
     """
 
     #: Whether any probability is positive (kept current by
@@ -111,12 +98,21 @@ _PLAIN_KIND = object()
 _NO_PLAN = object()
 
 
-def _remaining_hops(call) -> int:
-    """Hops a deferred record has not yet consumed (0 = final slot)."""
-    defer = call.defer_ns
-    if type(defer) is tuple:
-        return len(defer)
-    return 1 if defer else 0
+class _DepthGauge(Gauge):
+    """A channel's queue-depth gauge: the level is derived from the
+    channel's pending departures on every read, so it is exact (0 after
+    a drain) with no event; sends only raise the high-water mark."""
+
+    __slots__ = ("_channel",)
+
+    def __init__(self, name: str, channel: "Channel") -> None:
+        self.name = name
+        self.highwater = 0
+        self._channel = channel
+
+    @property
+    def value(self) -> int:
+        return self._channel.queue_depth
 
 
 class Channel:
@@ -130,44 +126,16 @@ class Channel:
         self.sink = sink
         self.impairments = impairments or Impairments()
         self._rng = sim.random.stream(f"channel:{name}")
-        self._queue: Deque[Frame] = deque()
-        #: Absolute time the transmitter finishes its current frame.
+        #: ``(start, end, record, frame)`` of every frame whose
+        #: serialize-end is still ahead, in FIFO order; ``record`` is the
+        #: frame's one scheduled record (see :meth:`send`).  Entries are
+        #: pruned lazily, so a prefix may already have departed.
+        self._pending: deque = deque()
+        #: Absolute time the transmitter finishes its last accepted frame.
         self._busy_until = 0
-        #: An *unfolded* transmission is in progress: set when
-        #: ``_serialized`` is scheduled, cleared when it runs.  While
-        #: set, the transmitter is busy even at exactly ``_busy_until``
-        #: — the pending ``_serialized`` callback owns the restart, so
-        #: a same-nanosecond send must queue behind it (matching the
-        #: pre-fold boolean-busy semantics tick for tick).  Folded
-        #: transmissions leave this False; they free the transmitter
-        #: only once their deferred record has been re-sequenced past
-        #: the serialize-end slot, which happens at the same
-        #: sub-nanosecond point the unfolded ``_serialized`` would run
-        #: (see :meth:`send`).
-        self._transmitting = False
-        #: The heap record of the newest *folded* transmission.  While
-        #: ``now < _busy_until`` with ``_transmitting`` False, this record
-        #: owns the transmitter; a frame queueing behind it converts it
-        #: in place into the unfolded ``_serialized`` callback (see
-        #: :meth:`_unfold_inflight`).
-        self._serializing = None
-        #: The frame :attr:`_serializing` carries (an extended record's
-        #: args no longer hold it) and its arrival-extension hop count:
-        #: the record is past its serialize-end slot once no more than
-        #: ``_serializing_ext`` deferred hops remain.
-        self._serializing_frame = None
-        self._serializing_ext = 0
-        #: Construction-time half of the fold gate; impairments are
-        #: re-checked per send because experiments swap them mid-run
-        #: (e.g. a timed loss window).  ``propagation_ns > 0`` keeps the
-        #: delivery seq allocation on its own later instant (see the
-        #: module docstring).
-        self._fold = (folding_enabled()
-                      and profile.queue_capacity_packets > 0
-                      and profile.propagation_ns > 0)
         #: Whether the sink node can ever extend an inbound chain: a
         #: node class that keeps the base ``arrival_extension`` (a plain
-        #: switch) never does, so the send paths skip asking it.
+        #: switch) never does, so :meth:`send` skips asking it.
         self._sink_extends = (type(sink.node).arrival_extension
                               is not Node.arrival_extension)
         #: ``payload_bytes -> (wire bytes, serialization ns)``: the
@@ -180,7 +148,7 @@ class Channel:
         self.dropped_loss = Counter(f"{name}.dropped_loss")
         self.bytes_sent = Counter(f"{name}.bytes")
         self.folded_sends = Counter(f"{name}.folded")
-        self.queue_depth_highwater = Gauge(f"{name}.queue_depth")
+        self.queue_depth_highwater = _DepthGauge(f"{name}.queue_depth", self)
         register_with_sim(sim, self)
 
     # ------------------------------------------------------------------
@@ -208,7 +176,7 @@ class Channel:
         ``Node.invalidate_arrival_plans`` on failure, recovery,
         impairment change, and device replacement.
 
-        The send paths call this only when :attr:`_sink_extends` is set,
+        :meth:`send` calls this only when :attr:`_sink_extends` is set,
         i.e. when the sink node's *class* overrides
         ``Node.arrival_extension``; a hook attached to one instance of a
         class that keeps the base method is never consulted.
@@ -235,84 +203,54 @@ class Channel:
         return (hops, callback, (frame, payload))
 
     def send(self, frame: Frame) -> None:
-        """Enqueue a frame for transmission (drop-tail when full)."""
-        serializing = self._serializing
-        if serializing is not None:
-            defer = serializing.defer_ns  # _remaining_hops, inlined
-            if ((len(defer) if type(defer) is tuple else 1 if defer else 0)
-                    <= self._serializing_ext):
-                # The folded record has been re-sequenced past its
-                # serialize-end slot (only arrival-extension hops, if
-                # any, remain): the instant the unfolded ``_serialized``
-                # would have run is behind us, so the transmitter really
-                # is free.
-                self._serializing = serializing = None
-        # At exactly ``now == _busy_until`` a still-deferred record means
-        # the unfolded ``_serialized`` (same heap slot) has NOT run yet
-        # relative to this event — the kernel re-sequences folded records
-        # in (time, seq) order, so ``defer_ns`` being truthy is precisely
-        # "our seq comes later this nanosecond".  The unfolded timeline
-        # would find ``_transmitting`` still True and queue this frame,
-        # so the folded one must too (converting the record in place).
-        if (self._fold and not self._transmitting and not self._queue
-                and serializing is None
-                and self.sim.now >= self._busy_until
-                and not self.impairments.enabled):
-            # Fast path: idle transmitter, empty queue, no impairments —
-            # serialization + propagation fold into one delivery event.
-            # The receiving node may extend the chain through its own
-            # pipeline head (whole-request folding), ending in a barrier
-            # callback that re-checks its liveness.  The send starts
-            # serializing immediately, so the record goes straight into
-            # the :attr:`_serializing` slot.
-            wire_bytes, serialize = (self._costs.get(frame.payload_bytes)
-                                     or self._cost_of(frame.payload_bytes))
-            self.bytes_sent.value += wire_bytes
-            self.folded_sends.value += 1
-            now = self.sim.now
-            hops = (self.profile.propagation_ns,)
-            callback, args = self._deliver, (frame,)
-            extension = (self._sink_extension(frame) if self._sink_extends
-                         else None)
-            if extension is not None:
-                extra_hops, ext_callback, ext_args = extension
-                hops = hops + extra_hops
-                callback, args = self._deliver_ext, (ext_callback, ext_args)
-            call = self.sim.schedule_deferred(
-                serialize, hops if len(hops) > 1 else hops[0],
-                callback, *args)
-            self._serializing = call
-            self._serializing_frame = frame
-            self._serializing_ext = len(hops) - 1
-            self._busy_until = now + serialize
-            return
-        if len(self._queue) >= self.profile.queue_capacity_packets:
+        """Enqueue a frame (drop-tail when full) and schedule its one
+        record: the departure is fixed here, at enqueue."""
+        sim = self.sim
+        now = sim.now
+        pending = self._pending
+        start = self._busy_until
+        if start <= now:
+            # Idle transmitter (free at exactly ``busy_until``): every
+            # tracked frame is already on the wire.
+            pending.clear()
+            start = now
+            waiting = 0
+        else:
+            while pending[0][1] <= now:
+                pending.popleft()
+            # Only the head can have started serializing.
+            waiting = len(pending) - (pending[0][0] <= now)
+        if waiting >= self.profile.queue_capacity_packets:
             self.dropped_full.increment()
             self.dropped_full_bytes.increment(
                 frame.wire_size(self.profile.header_overhead_bytes))
             return
-        queue = self._queue
-        queue.append(frame)
-        depth = len(queue)
-        gauge = self.queue_depth_highwater  # Gauge.update, inlined
-        gauge.value = depth
-        if depth > gauge.highwater:
-            gauge.highwater = depth
-        if not self._transmitting:
-            if serializing is not None:
-                # A *folded* frame still owns the transmitter (either
-                # mid-serialization, or ending this very nanosecond with
-                # its record not yet re-sequenced): nothing would call
-                # `_transmit_next` when it frees, so rewrite the folded
-                # record into the unfolded `_serialized` callback at its
-                # exact heap slot.
-                self._unfold_inflight()
-            elif self.sim.now >= self._busy_until:
-                self._transmit_next()
+        wire_bytes, serialize = (self._costs.get(frame.payload_bytes)
+                                 or self._cost_of(frame.payload_bytes))
+        self.bytes_sent.value += wire_bytes
+        end = start + serialize
+        self._busy_until = end
+        if start > now:
+            waiting += 1
+            gauge = self.queue_depth_highwater
+            if waiting > gauge.highwater:
+                gauge.highwater = waiting
+        if self.impairments.enabled:
+            record = sim.schedule(end - now, self._launch, frame)
+        else:
+            self.folded_sends.value += 1
+            extension = (self._sink_extension(frame) if self._sink_extends
+                         else None)
+            if extension is None:
+                record = sim.schedule(
+                    end + self.profile.propagation_ns - now,
+                    self._deliver, frame)
             else:
-                raise SimulationError(
-                    f"channel {self.name}: busy transmitter with no "
-                    f"in-flight record to convert")
+                hops, callback, args = extension
+                record = sim.schedule_deferred(
+                    end + self.profile.propagation_ns - now, hops,
+                    self._deliver_ext, callback, args)
+        pending.append((start, end, record, frame))
 
     def _deliver_ext(self, callback, args) -> None:
         """Barrier slot of an extension-carrying chain: count the wire
@@ -322,88 +260,36 @@ class Channel:
         callback(*args)
 
     def on_impairments_changed(self) -> None:
-        """Fall in-flight folded work back to the unfolded path after a
-        mid-run impairment swap (a chaos fault window opening).
+        """Re-route frames still at the transmitter after a mid-run
+        impairment swap (a chaos fault window opening or closing).
 
-        Folding commits draws-free delivery up front, but the unfolded
-        timeline draws loss/duplicate/reorder at each frame's
-        serialize-end — so any folded record whose serialize-end lies
-        *after* this instant must be converted back: a record
-        mid-serialization is rewritten in place into ``_serialized`` at
-        its serialize-end slot, where ``_launch`` re-checks impairments
-        and draws exactly as the unfolded run does.  Records already
-        past serialize-end committed before the swap on both timelines
-        and stay folded.
+        Every frame whose serialize-end lies after this instant has its
+        record cancelled and replaced by ``_launch`` at that same
+        serialize-end, where it checks the new impairments and draws in
+        FIFO order from the channel's stream.  Frames already on the
+        wire keep their delivery.
 
         Cached arrival plans on the receiving node are dropped too: the
         plan cache must never outlive a reconfiguration of the path
-        that feeds it (the send paths also stop querying extensions
-        entirely while impairments are enabled).
+        that feeds it.
         """
         self.sink.node.invalidate_arrival_plans()
-        call = self._serializing
-        if (call is not None
-                and _remaining_hops(call) == self._serializing_ext + 1):
-            self._unfold_inflight()
-
-    def _unfold_inflight(self) -> None:
-        """Convert the in-flight folded transmission into ``_serialized``.
-
-        A frame just queued while a folded transmission occupies the
-        transmitter, so something must restart the queue when it frees.
-        The folded record sits at exactly the heap slot the unfolded
-        ``_serialized`` callback would occupy — same time (the serialize
-        end), same seq (allocated at the serialize start) — so rather
-        than scheduling a separate drain event (whose later-allocated
-        seq could tie-break differently against unrelated
-        same-nanosecond events), the record is rewritten in place into
-        that callback.  From here the transmission is bit-for-bit the
-        unfolded one: ``_serialized`` launches the frame, allocating the
-        delivery seq at the serialize instant exactly as the unfolded
-        ``_launch`` does, and restarts the queue.
-        """
-        call = self._serializing
-        assert (call is not None and _remaining_hops(call)
-                == self._serializing_ext + 1), \
-            "busy transmitter without a convertible folded record"
-        call.callback = self._serialized
-        call.args = (self._serializing_frame,)
-        call.defer_ns = 0
-        self._transmitting = True
-        self._serializing = None
-
-    def _transmit_next(self) -> None:
-        if not self._queue:
-            return
-        queue = self._queue
-        frame = queue.popleft()
-        # A falling level never moves the high-water mark.
-        self.queue_depth_highwater.value = len(queue)
-        wire_bytes, serialize = (self._costs.get(frame.payload_bytes)
-                                 or self._cost_of(frame.payload_bytes))
-        self.bytes_sent.value += wire_bytes
-        self._busy_until = self.sim.now + serialize
-        self._transmitting = True
-        # The transmitter is busy for the serialization time, then the
-        # frame flies for the propagation delay while the next one starts.
-        self.sim.schedule(serialize, self._serialized, frame)
-
-    def _serialized(self, frame: Frame) -> None:
-        self._transmitting = False
-        self._launch(frame)
-        self._transmit_next()
+        sim = self.sim
+        now = sim.now
+        relaunched = deque()
+        for start, end, record, frame in self._pending:
+            if end > now:
+                record.cancel()
+                relaunched.append(
+                    (start, end, sim.schedule(end - now, self._launch, frame),
+                     frame))
+        self._pending = relaunched
 
     def _launch(self, frame: Frame) -> None:
         if not self.impairments.enabled:
-            # Even an *unfolded* transmission (queued behind contention)
-            # can extend its delivery through the receiving node: the
-            # record's push seq lands at this serialize-end instant and
-            # each extension hop re-sequences exactly where the
-            # device's folded pipeline would have allocated its events, so
-            # the chain is heap-order-identical with one event fewer.
-            # The record is already past the transmitter, so nothing
-            # here tracks it.  Impaired copies never extend, mirroring
-            # the fold gate.
+            # The impairments were lifted while this frame waited: it
+            # flies like an unimpaired send, extension included.
+            # Impaired copies never extend.
             extension = (self._sink_extension(frame) if self._sink_extends
                          else None)
             if extension is not None:
@@ -455,7 +341,11 @@ class Channel:
     @property
     def queue_depth(self) -> int:
         """Frames waiting behind the one being serialized."""
-        return len(self._queue)
+        now = self.sim.now
+        pending = self._pending
+        while pending and pending[0][1] <= now:
+            pending.popleft()
+        return len(pending) - (bool(pending) and pending[0][0] <= now)
 
     def instruments(self) -> tuple:
         """This channel's typed instruments (the explicit registration

@@ -7,8 +7,8 @@ delay plus whatever queueing the output links impose.
 Every arrival schedules :meth:`Switch._forward` after
 ``switch_forward_ns``; that callback re-checks ``failed``, looks the
 route up and sends through the output port at the forwarding instant,
-where the channel's plain-send fold may still fold serialization and
-propagation.
+where the channel fixes the frame's departure and schedules its
+delivery.
 """
 
 from __future__ import annotations

@@ -30,10 +30,11 @@ fold-identity and determinism suite ultimately rests on):
 
 1. every push allocates a monotonically increasing ``seq``, so the
    execution order is the exact total order by ``(time, seq)``;
-2. records are mutated in place but never physically moved by an
-   in-place conversion (``net/link.py`` rewrites a folded record's
-   callback at its existing queue slot) — both backends keep a record's slot
-   identity stable between push and pop;
+2. callers never rewrite a queued record: its callback, args and
+   ``(time, seq)`` slot are fixed at push, and a caller that changes
+   its mind cancels the record and pushes a new one (``net/link.py``
+   does so when impairments change) — the only later mutations are
+   rules 3 and 4;
 3. cancelled records never execute and never count;
 4. a *deferred* record re-sequences (fresh seq at its surfacing
    instant) instead of executing — see :meth:`ScheduledCall` below.

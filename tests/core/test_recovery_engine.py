@@ -125,19 +125,18 @@ class TestLossRepair:
 
         def recover():
             nonlocal recovery
-            # The folded fast path skips _launch entirely; force the
-            # unfolded path so the drop hook sees every frame.
-            channel._fold = False
-            original_launch = channel._launch
+            # Every frame enters the channel through `send`, so the drop
+            # hook sits there: a dropped frame never reaches the wire.
+            original_send = channel.send
             sent = iter(range(10_000))
 
-            def launch_with_drops(frame):
+            def send_with_drops(frame):
                 if next(sent) in drop:
                     channel.dropped_loss.increment()
                     return
-                original_launch(frame)
+                original_send(frame)
 
-            channel._launch = launch_with_drops
+            channel.send = send_with_drops
             recovery = deployment.server.recover(deployment.pmnet_names)
 
         deployment.sim.schedule_at(milliseconds(1.5), recover)

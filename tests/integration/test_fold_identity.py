@@ -1,22 +1,24 @@
 """The folding correctness bar: fold on == fold off, byte for byte.
 
-The latency-folded fast paths (``net/link.py`` plain-send folds and
-whole-request chains, ``core/pmnet_device.py`` pipeline folds) claim to
+The latency-folded fast paths (``net/link.py`` whole-request chains
+into the receiving device, ``core/pmnet_device.py`` pipeline folds;
+channels run one model at every level) claim to
 change only the executed-event count, never a delivery time, a queue
 decision, or an RNG draw.  This file holds that claim to account:
 
 * a hypothesis property over random star topologies — random frame
   sizes, send times, and sources, driven through a real ``Switch`` so
-  folds, queueing, and mid-fold conversions all trigger — must produce
-  identical arrival logs with ``PMNET_FOLD`` set to ``none`` and
-  ``whole``;
+  idle sends, queueing, and switch forwarding all trigger — must
+  produce identical arrival logs with ``PMNET_FOLD`` set to ``none``
+  and ``whole``;
 * a second property with frame sizes and send times quantized so that
   sends collide with serialization boundaries on the same nanosecond,
-  stressing the tie-break claim of the in-place fold conversion;
+  stressing same-nanosecond tie-breaking;
 * impaired channels must never fold, deterministically;
 * mid-run crashes — a switch failing inside its forwarding window, a
   PMNet device power-cut at swept instants across the request's
-  pipeline windows (the Fig 12 scenarios), a client host dying — or
+  pipeline windows (the Fig 12 scenarios) or while frames addressed to
+  it wait in the upstream queue, a client host dying — or
   dying *and* rebooting — with a send inside its stack — must leave
   every observable identical.  A switch forwards through its own
   ``_forward`` event at every fold level, so its ``failed`` check drops
@@ -52,6 +54,8 @@ from repro.workloads.handlers import StructureHandler
 from repro.workloads.kv import OpKind, Operation
 from repro.workloads.pmdk.hashmap import PMHashmap
 from repro.workloads.ycsb import YCSBConfig, make_op_maker
+from tests.integration.test_whole_fold_boundaries import (_jitterless,
+                                                          _shared_uplink)
 from tests.knobs import pinned
 
 #: Every fold level the identity bar covers: the unfolded reference
@@ -184,14 +188,13 @@ class TestFoldIdentityProperty:
 
 
 class TestFoldBoundaryRegression:
-    def test_send_at_exact_serialize_end_queues_behind_pending_record(self):
-        # h1's second frame lands at exactly the nanosecond its first
-        # frame finishes serializing, via an event whose seq was
-        # allocated *before* the pending folded record's: the unfolded
-        # timeline finds `_transmitting` still True and queues it behind
-        # `_serialized`.  The folded path used to treat `now ==
-        # _busy_until` as a free transmitter and fold, letting h1's
-        # frame overtake h0's contending frame at the switch downlink.
+    def test_send_at_exact_serialize_end_starts_at_once(self):
+        # h1's second frame is sent at exactly the nanosecond its first
+        # frame finishes serializing.  The transmitter is free at
+        # exactly ``busy_until``, so the frame starts at once and its
+        # delivery seq is allocated at that send — before h0's frame,
+        # sent later in the same nanosecond — so h1's frame wins the
+        # tie at the switch downlink at both fold levels.
         sends = [(4300, 1, 0, 1250), (5300, 1, 0, 1250), (5300, 0, 0, 1250)]
         folded, folded_events = _run_star(
             2, sends, no_fold=False, profile=_COLLISION_PROFILE)
@@ -199,10 +202,8 @@ class TestFoldBoundaryRegression:
             2, sends, no_fold=True, profile=_COLLISION_PROFILE)
         assert folded == unfolded
         assert folded_events <= unfolded_events
-        # h0's frame reaches the switch with the earlier seq and must
-        # win the downlink tie in both modes.
-        assert folded[0] == [(6800, "h1", 0), (7800, "h0", 2),
-                             (8800, "h1", 1)]
+        assert folded[0] == [(6800, "h1", 0), (7800, "h1", 1),
+                             (8800, "h0", 2)]
 
 
 class TestImpairedNeverFolds:
@@ -269,6 +270,56 @@ def _device_crash_run(crash_offset_ns, no_fold):
             int(device.acks_sent),
             int(device.forwarded_plain),
             sim.now)
+
+
+def _queued_crash_run(level, crash_at_ns):
+    """Eight jitter-free clients, two updates each; the PMNet device
+    power-cuts at ``crash_at_ns`` and reboots 400 us later.
+
+    All eight first updates reach the merge switch at 10,348 ns and
+    queue on its downlink to the device until ~11,356 ns, so a cut in
+    that span lands while frames addressed to the device still wait
+    upstream.  Returns the downlink's queue depth at the cut, then
+    every observable a fold could disturb.
+    """
+    from repro.protocol.packet import reset_request_ids
+
+    reset_request_ids()
+    with pinned(fold=level):
+        cfg = _jitterless(SystemConfig(seed=5).with_clients(8))
+        tracer = Tracer(enabled=True)
+        handler = StructureHandler(PMHashmap())
+        deployment = build(DeploymentSpec(placement="switch"), cfg,
+                           handler=handler, tracer=tracer)
+    sim = deployment.sim
+    device = deployment.devices[0]
+    downlink = _shared_uplink(deployment)
+    injector = FailureInjector(sim)
+    record = injector.crash_device_at(device, crash_at_ns)
+    injector.recover_device_at(device, crash_at_ns + microseconds(400),
+                               record)
+    depth_at_cut = []
+    sim.schedule_at(crash_at_ns,
+                    lambda: depth_at_cut.append(downlink.queue_depth))
+    timeline = []
+
+    def client_proc(index, client):
+        for i in range(2):
+            completion = yield client.send_update(
+                Operation(OpKind.SET, key=f"k{index}.{i}", value=i))
+            timeline.append((sim.now, index, i, completion.via,
+                             completion.retransmissions))
+
+    deployment.open_all_sessions()
+    processes = [sim.spawn(client_proc(i, c), f"c{i}")
+                 for i, c in enumerate(deployment.clients)]
+    sim.run()
+    assert all(not p.alive for p in processes), "a client never finished"
+    digest = hashlib.sha256("\n".join(str(r) for r in tracer.records)
+                            .encode("utf-8")).hexdigest()
+    return (depth_at_cut[0], tuple(timeline),
+            tuple(sorted(handler.structure.items())),
+            int(device.acks_sent), digest, sim.now)
 
 
 def _client_reboot_run(level, fail_offset_ns, recover_offset_ns):
@@ -349,6 +400,16 @@ class TestCrashIdentity:
         folded = _device_crash_run(crash_offset_ns, no_fold=False)
         unfolded = _device_crash_run(crash_offset_ns, no_fold=True)
         assert folded == unfolded
+
+    @pytest.mark.parametrize("crash_at", [10_349, 10_800, 11_200])
+    def test_device_crash_with_frames_queued_upstream(self, crash_at):
+        runs = {level: _queued_crash_run(level, crash_at)
+                for level in FOLD_LEVELS}
+        assert runs["none"][0] > 0, "no frame waited upstream at the cut"
+        # The waiting frames reach a dead device and are lost: their
+        # requests complete only through a retransmission.
+        assert any(retx for *_rest, retx in runs["none"][1])
+        assert runs["whole"] == runs["none"]
 
     @pytest.mark.parametrize("fail_at,recover_at", [
         (500, 1_000),    # crash and reboot early in the send window

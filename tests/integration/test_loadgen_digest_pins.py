@@ -41,9 +41,9 @@ REQUESTS = 1_500
 
 #: shape -> (sample digest, executed events, final simulated ns).
 PINNED: Dict[str, Tuple[str, int, int]] = {
-    "write-log": ("9f6ab86256023291", 44_181, 1_508_415),
-    "read-cache-open": ("559adce129a4fb2e", 34_961, 1_761_774),
-    "fabric-failover": ("b787f29f9bed4f94", 104_679, 6_009_748),
+    "write-log": ("b54a2008dc3c2f8a", 37_186, 1_508_415),
+    "read-cache-open": ("559adce129a4fb2e", 32_584, 1_761_774),
+    "fabric-failover": ("c804d2ae6d7a6f33", 84_759, 6_203_505),
 }
 
 
@@ -138,6 +138,16 @@ def run_shape(name: str) -> Tuple[str, int, int]:
 def test_digest_matches_pin(shape, backend, monkeypatch):
     monkeypatch.setenv("PMNET_KERNEL", backend)
     assert run_shape(shape) == PINNED[shape]
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_unfolded_digest_and_clock_match_pin(shape, monkeypatch):
+    """``PMNET_FOLD=none`` runs more events but the same behaviour: its
+    digest and final clock are the pinned ones."""
+    monkeypatch.setenv("PMNET_FOLD", "none")
+    digest, _events, final_ns = run_shape(shape)
+    pinned_digest, _pinned_events, pinned_ns = PINNED[shape]
+    assert (digest, final_ns) == (pinned_digest, pinned_ns)
 
 
 def _trace_until(fold: str, until_ns: int, monkeypatch) -> list:

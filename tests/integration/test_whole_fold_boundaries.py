@@ -3,12 +3,11 @@
 Three edges where the whole-request fold is most likely to cheat:
 
 * a second request hitting a shared channel at **exactly** its
-  ``busy_until`` nanosecond — the fold's free-check must treat the
-  boundary instant as busy, like the unfolded timeline does;
-* an impairment window opening **mid-folded-request** — the in-flight
-  fold must be unfolded and the request replayed through the unfolded
-  impairment draws (here: a loss window that must drop the frame and
-  force a retransmission in every mode);
+  ``busy_until`` nanosecond — the instant the transmitter frees, which
+  must tie-break the same way at every fold level;
+* an impairment window opening **mid-folded-request** — a frame still
+  serializing must meet the new impairment draws (here: a loss window
+  that must drop the frame and force a retransmission in every mode);
 * **cache-hit requests must never whole-request fold** — the bypass
   path's lookup outcome steers mid-pipeline branching, so the device
   must refuse to extend arrival chains for it.
@@ -120,8 +119,8 @@ class TestExactBusyUntilArrival:
         # uplink serialization time makes client 1's frame reach the
         # shared merge->device channel at exactly the nanosecond client
         # 0's frame finishes serializing — the ``busy_until`` boundary
-        # the folded free-check must call "busy".  Sweep the exact
-        # instant plus its neighbours and coarser spacings.
+        # at which the transmitter is free.  Sweep the exact instant
+        # plus its neighbours and coarser spacings.
         serialize = _request_serialize_ns()
         offsets = sorted({0, 1, serialize // 2, serialize - 1, serialize,
                           serialize + 1, 2 * serialize})
@@ -159,11 +158,11 @@ def _impaired_window_run(level, open_at_ns, close_at_ns):
 
 class TestImpairmentOpensMidFoldedRequest:
     def test_window_opening_mid_request_revokes_and_replays(self):
-        # The first request's whole fold commits at t=0: stack send
-        # cost, then wire serialization.  Opening a 100 %-loss window
-        # inside the stack window (before the frame reaches the wire)
-        # and inside the serialization window (record mid-flight ->
-        # unfolded in place) must drop the frame and force the same
+        # The first request leaves the client stack, then serializes on
+        # the uplink.  Opening a 100 %-loss window inside the stack
+        # window (before the frame reaches the wire) and inside the
+        # serialization window (its delivery is rescheduled as a
+        # serialize-end launch) must drop the frame and force the same
         # retransmission on every timeline.
         serialize = _request_serialize_ns()
         send_ns = SystemConfig().client_stack.send_ns

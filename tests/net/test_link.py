@@ -73,6 +73,49 @@ class TestQueueing:
         assert int(link.forward.dropped_full) > 0
         assert len(b.arrivals) + int(link.forward.dropped_full) == 10
 
+    def test_send_at_exact_busy_until_finds_the_transmitter_free(self):
+        # Capacity 1.  At t=1000 frame 0 finishes serializing and frame
+        # 1 (queued at t=0) starts, so the queue is empty again: frame 2
+        # is accepted and frame 3, behind it, is dropped.
+        sim = Simulator()
+        profile = NetworkProfile(bandwidth_bps=10e9, propagation_ns=100,
+                                 header_overhead_bytes=0,
+                                 queue_capacity_packets=1)
+        _a, b, link = _pair(sim, profile)
+        channel = link.forward
+        channel.send(Frame("a", "b", 0, 1250))
+        channel.send(Frame("a", "b", 1, 1250))
+        for i in (2, 3):
+            sim.schedule_at(1000, channel.send, Frame("a", "b", i, 1250))
+        sim.run()
+        assert [(t, f.payload) for t, f in b.arrivals] == [
+            (1100, 0), (2100, 1), (3100, 2)]
+        assert int(channel.dropped_full) == 1
+
+    def test_capacity_one_holds_one_waiting_frame(self):
+        sim = Simulator()
+        profile = NetworkProfile(queue_capacity_packets=1)
+        _a, b, link = _pair(sim, profile)
+        channel = link.forward
+        for i in range(3):
+            channel.send(Frame("a", "b", i, 1000))
+        assert channel.queue_depth == 1
+        sim.run()
+        # One serializing, one waiting; the third is dropped.
+        assert [f.payload for _t, f in b.arrivals] == [0, 1]
+        assert int(channel.dropped_full) == 1
+
+    def test_capacity_zero_drops_every_frame(self):
+        sim = Simulator()
+        profile = NetworkProfile(queue_capacity_packets=0)
+        a, b, link = _pair(sim, profile)
+        for i in range(3):
+            sim.schedule(i * 10_000, a.ports[0].transmit,
+                         Frame("a", "b", i, 10))
+        sim.run()
+        assert b.arrivals == []
+        assert int(link.forward.dropped_full) == 3
+
 
 class TestImpairments:
     def test_loss_drops_frames(self):
@@ -263,11 +306,11 @@ class TestFoldedFastPath:
         assert int(link.forward.dropped_loss) == 1
         assert len(b.arrivals) == 1
 
-    def test_queued_behind_fold_converts_in_place(self, monkeypatch):
-        # A folds; B queues mid-serialization (converting A's record to
-        # the unfolded `_serialized` slot); C lands exactly at the
-        # serialize end, where the old drain event's later-allocated seq
-        # could have tie-broken differently.
+    def test_queued_frames_depart_back_to_back(self, monkeypatch):
+        # A starts on an idle transmitter; B queues mid-serialization
+        # and departs at A's serialize-end; C is sent at exactly that
+        # instant and queues behind B.  Each departure is fixed when
+        # the frame is enqueued, identically at both fold levels.
         def scenario(sim):
             a, b, _link = _pair(sim, _fast_profile())
             channel = a.ports[0].channel
@@ -283,19 +326,92 @@ class TestFoldedFastPath:
         assert folded == unfolded
         assert folded == [(1100, "A"), (2100, "B"), (3100, "C")]
 
-    def test_zero_propagation_never_folds(self):
-        # With a zero-delay wire the folded chain would execute delivery
-        # on the send-time seq instead of the serialize-instant seq the
-        # unfolded `_launch` allocates, so folding is gated off.
+    def test_zero_propagation_delivers_at_serialize_end(self, monkeypatch):
+        # A zero-delay wire delivers at the serialize-end instant; the
+        # send still commits its one record at enqueue.
+        def scenario(sim):
+            profile = NetworkProfile(bandwidth_bps=10e9, propagation_ns=0,
+                                     header_overhead_bytes=0)
+            a, b, _link = _pair(sim, profile)
+            channel = a.ports[0].channel
+            channel.send(Frame("a", "b", "A", 1250))  # idle transmitter
+            sim.schedule(500, channel.send, Frame("a", "b", "B", 1250))
+            sim.run()
+            assert int(channel.folded_sends) == 2
+            return [(t, f.payload) for t, f in b.arrivals]
+
+        folded = scenario(Simulator())
+        monkeypatch.setenv("PMNET_FOLD", "none")
+        unfolded = scenario(Simulator())
+        assert folded == unfolded
+        assert folded == [(1000, "A"), (2000, "B")]
+
+
+class TestEnqueueTimeDeparture:
+    def test_one_executed_event_per_frame_per_hop(self, monkeypatch):
+        # A 5-frame burst queues four frames behind the first; each
+        # frame still costs exactly one executed event (its delivery),
+        # with no transmitter-restart event between departures.
+        def burst(sim):
+            a, b, _link = _pair(sim, _fast_profile())
+            for i in range(5):
+                a.ports[0].transmit(Frame("a", "b", i, 1250))
+            sim.run()
+            assert [t for t, _f in b.arrivals] == [1100, 2100, 3100,
+                                                   4100, 5100]
+            return sim.executed_events
+
+        assert burst(Simulator()) == 5
+        monkeypatch.setenv("PMNET_FOLD", "none")
+        assert burst(Simulator()) == 5
+
+    def test_loss_window_mid_queue_drops_only_later_departures(
+            self, monkeypatch):
+        # Five frames queue at t=0 (serialize-ends 1000..5000, arrivals
+        # 100 ns later).  A total-loss window opens at 2050: frame 0 has
+        # arrived, frame 1 left the transmitter at 2000 and is on the
+        # wire, so both arrive; frames 2-4 leave after the window opens
+        # and are lost, drawn at their serialize-ends.
+        def scenario(sim):
+            a, b, link = _pair(sim, _fast_profile())
+            channel = link.forward
+            for i in range(5):
+                channel.send(Frame("a", "b", i, 1250))
+
+            def open_window():
+                channel.impairments = Impairments(loss_probability=1.0)
+                channel.on_impairments_changed()
+
+            sim.schedule_at(2050, open_window)
+            sim.run()
+            return ([(t, f.payload) for t, f in b.arrivals],
+                    int(channel.dropped_loss), sim.now)
+
+        folded = scenario(Simulator())
+        monkeypatch.setenv("PMNET_FOLD", "none")
+        unfolded = scenario(Simulator())
+        assert folded == unfolded
+        assert folded == ([(1100, 0), (2100, 1)], 3, 5000)
+
+    def test_window_closed_mid_queue_delivers_the_rest(self):
+        # Frames sent into a loss window are drawn at their
+        # serialize-ends; closing the window before a frame leaves the
+        # transmitter lets it through.
         sim = Simulator()
-        profile = NetworkProfile(bandwidth_bps=10e9, propagation_ns=0,
-                                 header_overhead_bytes=0)
-        a, b, _link = _pair(sim, profile)
-        channel = a.ports[0].channel
-        channel.send(Frame("a", "b", None, 1250))  # idle transmitter
+        a, b, link = _pair(sim, _fast_profile(), loss_probability=1.0)
+        channel = link.forward
+        for i in range(3):
+            channel.send(Frame("a", "b", i, 1250))
+
+        def close_window():
+            channel.impairments = Impairments()
+            channel.on_impairments_changed()
+
+        sim.schedule_at(1500, close_window)
         sim.run()
-        assert int(channel.folded_sends) == 0
-        assert [t for t, _f in b.arrivals] == [1000]
+        assert [(t, f.payload) for t, f in b.arrivals] == [(2100, 1),
+                                                           (3100, 2)]
+        assert int(channel.dropped_loss) == 1
 
 
 class TestChannelSummary:
@@ -306,13 +422,33 @@ class TestChannelSummary:
         for _ in range(5):
             a.ports[0].transmit(Frame("a", "b", None, 1000))
         summary = link.forward.summary()
-        # One in flight (folded), four waiting behind it.
+        # One serializing, four waiting behind it.
         assert summary["queue_depth"] == 4
         sim.run()
         drained = link.forward.summary()
         assert drained["queue_depth"] == 0
         # The gauge's mark keeps the worst pressure seen.
         assert drained["queue_depth_highwater"] == 4
+
+    def test_depth_and_gauge_reach_zero_after_a_drain(self):
+        sim = Simulator()
+        a, _b, link = _pair(sim, _fast_profile())
+        channel = link.forward
+        for i in range(4):
+            channel.send(Frame("a", "b", i, 1250))
+        assert channel.queue_depth == 3
+        assert channel.queue_depth_highwater.value == 3
+        sim.run(until=2_500)  # frames 0 and 1 have left
+        assert channel.queue_depth == 1
+        sim.run()
+        executed = sim.executed_events
+        assert channel.queue_depth == 0
+        summary = channel.summary()
+        # No event drained the gauge: its level is derived on read.
+        assert sim.executed_events == executed
+        assert summary["queue_depth"] == 0
+        assert channel.queue_depth_highwater.value == 0
+        assert summary["queue_depth_highwater"] == 3
 
     def test_dropped_full_bytes_counted(self):
         sim = Simulator()
